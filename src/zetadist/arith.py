@@ -419,13 +419,6 @@ def dirichlet_convolve(a: ArithmeticFunction, b: ArithmeticFunction) -> Arithmet
     return ArithmeticFunction(out[1:], name=f"({a.name}*{b.name})", support_limit=support)
 
 
-def dirichlet_convolve_many(funcs: Sequence[ArithmeticFunction]) -> ArithmeticFunction:
-    acc = funcs[0]
-    for f in funcs[1:]:
-        acc = dirichlet_convolve(acc, f)
-    return acc
-
-
 def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
     """The convolution inverse, by forward elimination.
 

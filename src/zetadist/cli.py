@@ -29,6 +29,7 @@ from .series import EvalPoint, evaluate_cf, evaluate_series
 from .zeroscan import Rectangle, count_zeros, estimate_sigma0
 
 FLOAT_FMT = "%.17g"
+T_HELP = "t or start:stop:steps; a grid with a negative start needs '=', as in --t=-10:10:101"
 
 _RUN_START = time.monotonic()
 
@@ -184,7 +185,7 @@ def cmd_eval(args) -> int:
         out.write_line(
             f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(r.value.real)},{_fmt(r.value.imag)},{_fmt(r.tail_bound)},{r.N_used}"
         )
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.N or args.max,
+    out.finish(RunManifest(command=sys.argv[1:], source=source, N=r.N_used,
                            tolerances={"tol": args.tol}))
     return 0
 
@@ -253,12 +254,14 @@ def cmd_moments(args) -> int:
     if args.method == "analytic":
         lam = von_mangoldt(fn)
         mean, var = moments_analytic(lam, args.sigma)
+        n_used = lam.N
     else:
         d = build_distribution(fn, args.sigma, args.tol)
         mean, var = moments_direct(d)
+        n_used = d.N
     out = _Out(args.out, "moments.json")
     out.write_line(json.dumps({"mean": mean, "variance": var, "method": args.method}, sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.max,
+    out.finish(RunManifest(command=sys.argv[1:], source=source, N=n_used,
                            tolerances={"tol": args.tol}))
     return 0
 
@@ -398,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Set ZETADIST_MAX_N to override the default truncation cap (10^7).",
     )
     ap.add_argument("--out", help="write outputs (plus manifests) into this directory")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap for sampling")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="number of PCG64 sampling streams; they run one after another "
+                    "(no threads start) and the draws are defined by (seed, threads)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, gen_flag="--gen"):
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the series (CSV)")
     common(p)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", default="0", help="t or start:stop:steps")
+    p.add_argument("--t", default="0", help=T_HELP)
     p.add_argument("--order", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--N", type=int)
     p.add_argument("--tol", type=float)
@@ -437,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="normalized characteristic function values (CSV)")
     common(p)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", default="0")
+    p.add_argument("--t", default="0", help=T_HELP)
     p.add_argument("--N", type=int)
     p.set_defaults(fn=cmd_cf)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction, MangoldtSequence
 from .errors import DomainError, NotDistributionError, OutOfDomainError, ResourceLimitError
-from .series import EvalResult, derivative_growth, n_cap, tail_bound
+from .series import EvalResult, _partial_sum, _tail_for, derivative_growth, n_cap, smallest_n, tail_bound
 
 RNG_ALGORITHM = "numpy-PCG64"
 SAMPLE_TAIL_GATE = 1e-12
@@ -51,7 +51,7 @@ class ZetaDistribution:
     pmf: np.ndarray = field(repr=False)
 
     def positions(self) -> np.ndarray:
-        return -np.log(np.arange(1, self.N + 1, dtype=np.float64))
+        return -self.a.log_n()[:self.N]
 
 
 def build_distribution(
@@ -77,26 +77,13 @@ def build_distribution(
     cap = min(len(a), n_cap())
 
     def rel_tail(n: int, z_lower: float) -> float:
-        if a.support_limit is not None and n >= a.support_limit:
-            return 0.0
-        if a.growth is None:
-            return math.inf
-        return tail_bound(a.growth.C, a.growth.eps, sigma, n) / z_lower
+        return _tail_for(a, sigma, n, 0) / z_lower
 
     def weights_at(n: int) -> np.ndarray:
         return a.float_coeffs()[:n] * np.exp(-sigma * a.log_n()[:n])
 
     def choose_n(z_ref: float) -> Optional[int]:
-        if rel_tail(cap, z_ref) > tol:
-            return None
-        lo, hi = 1, cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rel_tail(mid, z_ref) <= tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return smallest_n(lambda n: rel_tail(n, z_ref) <= tol, 1, cap)
 
     auto = N is None
     if auto:
@@ -130,13 +117,10 @@ def build_distribution(
     if tmb > tol:
         raise ResourceLimitError(f"tail mass {tmb:.3g} at N={N} exceeds tol={tol}")
     pmf = weights / Z
-    z_tail = 0.0 if (a.support_limit is not None and N >= a.support_limit) else (
-        math.inf if a.growth is None else tail_bound(a.growth.C, a.growth.eps, sigma, N)
-    )
     return ZetaDistribution(
         a=a,
         sigma=sigma,
-        Z_sigma=EvalResult(value=complex(Z), tail_bound=z_tail, N_used=N),
+        Z_sigma=EvalResult(value=complex(Z), tail_bound=_tail_for(a, sigma, N, 0), N_used=N),
         N=N,
         tail_mass_bound=tmb,
         pmf=pmf,
@@ -154,19 +138,15 @@ def moments_analytic(lam: MangoldtSequence, sigma: float) -> tuple[float, float]
     if not sigma > 1.0:
         raise OutOfDomainError(f"sigma={sigma} must exceed 1")
     ns, vals = lam.float_arrays()
-    if ns.size == 0:
-        return 0.0, 0.0
-    nf = ns.astype(np.float64)
-    decay = np.exp(-sigma * np.log(nf))
-    mean = -float((vals * decay).sum())
-    variance = float((vals * np.log(nf) * decay).sum())
-    return mean, variance
+    ln = np.log(ns.astype(np.float64))
+    _, mean, variance = _partial_sum(vals / ln, ln, [sigma], 2)[:, 0].real
+    return float(mean), float(variance)
 
 
 def moments_direct(d: ZetaDistribution) -> tuple[float, float]:
     """(mean, variance) of the stored truncated law:
     mean = sum pmf(n) (-log n), variance = E[X^2] - (E[X])^2."""
-    logn = np.log(np.arange(1, d.N + 1, dtype=np.float64))
+    logn = d.a.log_n()[:d.N]
     mean = -float((d.pmf * logn).sum())
     second = float((d.pmf * logn * logn).sum())
     return mean, second - mean * mean
@@ -214,7 +194,7 @@ def sample(
         )
     cdf = np.cumsum(d.pmf)
     cdf /= cdf[-1]
-    logn = np.log(np.arange(1, d.N + 1, dtype=np.float64))
+    logn = d.a.log_n()[:d.N]
     per = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
     parts = []
     for i, c in enumerate(per):

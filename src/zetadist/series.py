@@ -3,7 +3,9 @@ normalized characteristic function, and the logarithm series, with rigorous
 truncation-tail bounds derived from growth certificates.
 
 All floating point lives here (and downstream); values are complex doubles.
-n^{-s} is computed as exp(-s log n) with the platform log.
+Every sum of n^{-s} goes through ``_partial_sum``, which computes
+n^{-sigma} (cos(t log n) - i sin(t log n)) with the platform exp, log, cos
+and sin.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,34 +129,59 @@ def _resolve_n(a: ArithmeticFunction, sigma: float, N: Optional[int], tol: Optio
         return min(len(a), max(a.support_limit, 1))
     if a.growth is None:
         raise OutOfDomainError("tolerance-driven truncation needs a growth certificate")
-    lo, hi = 1, min(len(a), cap)
-    if _tail_for(a, sigma, hi, order) > tol:
+    found = smallest_n(lambda n: _tail_for(a, sigma, n, order) <= tol, 1, min(len(a), cap))
+    if found is None:
         if len(a) < cap:
             raise ResourceLimitError(
                 f"tolerance {tol} needs more than the {len(a)} stored coefficients"
             )
         raise ResourceLimitError(f"tolerance {tol} unreachable within the N cap {cap}")
+    return found
+
+
+def smallest_n(ok: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Smallest N in [lo, hi] with ok(N), by bisection.
+
+    ``ok`` must be monotone in N (false up to some N, true from there on);
+    returns None when ok(hi) fails.
+    """
+    if not ok(hi):
+        return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _tail_for(a, sigma, mid, order) <= tol:
+        if ok(mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _partial_sum(a: ArithmeticFunction, s: complex, order: int, N: int) -> complex:
-    fa = a.float_coeffs()
-    logn = a.log_n()
-    total = 0.0 + 0.0j
-    for start in range(0, N, _CHUNK):
-        stop = min(start + _CHUNK, N)
-        ln = logn[start:stop]
-        terms = fa[start:stop] * np.exp(-s * ln)
-        if order:
-            terms = terms * (-ln) ** order
-        total += complex(terms.sum())
-    return total
+def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np.ndarray:
+    """sum_n coeffs[n] (-logn[n])^k n^{-s} for k = 0..order at every point s,
+    as an array of shape (order+1, len(points)); empty arrays sum to 0.
+
+    The only code that sums n^{-s}.  It works in real arithmetic,
+    n^{-s} = n^{-sigma} (cos(t log n) - i sin(t log n)), with two real
+    mat-vecs per order; each chunk holds at most _CHUNK points x terms.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    out = np.zeros((order + 1, pts.size), dtype=np.complex128)
+    re, im = out.real, out.imag
+    step = max(1, _CHUNK // max(1, pts.size))
+    for start in range(0, logn.size, step):
+        ln = logn[start:start + step]
+        w = coeffs[start:start + step]
+        mag = np.exp(np.multiply.outer(-pts.real, ln))
+        phase = np.multiply.outer(pts.imag, ln)
+        cos = np.cos(phase)
+        cos *= mag
+        sin = np.sin(phase, out=phase)
+        sin *= mag
+        for k in range(order + 1):
+            wk = w * (-ln) ** k if k else w
+            re[k] += cos @ wk
+            im[k] -= sin @ wk
+    return out
 
 
 def evaluate_series(
@@ -175,7 +202,7 @@ def evaluate_series(
         raise DomainError(f"order={order} not in (0, 1, 2)")
     _require_domain(a, s.sigma, order)
     N_used = _resolve_n(a, s.sigma, N, tol, order)
-    value = _partial_sum(a, s.s, order, N_used)
+    value = complex(evaluate_series_batch(a, [s.s], order, N_used)[order, 0])
     tb = _tail_for(a, s.sigma, N_used, order)
     if math.isinf(tb):
         warnings.warn("no growth certificate: tail bound is +inf", stacklevel=2)
@@ -183,27 +210,14 @@ def evaluate_series(
 
 
 def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int = 0, N: Optional[int] = None):
-    """Values of the truncated series (and derivative orders up to ``order``)
-    at a batch of complex points; one pass over the coefficients.
+    """Values of the series truncated at N (default DEFAULT_N) and of its
+    derivative orders up to ``order`` at a batch of complex points.
 
     Returns an array of shape (order+1, len(points)).  No tail bookkeeping:
-    this is the evaluation kernel used by the contour scanner, which handles
-    tails itself.
+    callers bound the tail with the truncation they pass.
     """
-    pts = np.asarray(points, dtype=np.complex128)
-    N_used = min(N if N is not None else DEFAULT_N, len(a))
-    fa = a.float_coeffs()
-    logn = a.log_n()
-    out = np.zeros((order + 1, pts.size), dtype=np.complex128)
-    chunk = max(1024, _CHUNK // max(1, pts.size))
-    for start in range(0, N_used, chunk):
-        stop = min(start + chunk, N_used)
-        ln = logn[start:stop]
-        e = np.exp(-np.multiply.outer(pts, ln))
-        w = fa[start:stop]
-        for k in range(order + 1):
-            out[k] += e @ (w * (-ln) ** k)
-    return out
+    N = min(N if N is not None else DEFAULT_N, len(a))
+    return _partial_sum(a.float_coeffs()[:N], a.log_n()[:N], points, order)
 
 
 def evaluate_cf(
@@ -229,8 +243,7 @@ def evaluate_cf(
         )
     _require_domain(a, sigma, 0)
     N_used = _resolve_n(a, sigma, N, tol, 0)
-    num = _partial_sum(a, complex(sigma, t), 0, N_used)
-    den = _partial_sum(a, complex(sigma, 0.0), 0, N_used)
+    num, den = map(complex, evaluate_series_batch(a, [complex(sigma, t), sigma], 0, N_used)[0])
     if den == 0:
         raise DomainError("normalizer Z(sigma) vanished at this truncation")
     return num / den
@@ -253,12 +266,8 @@ def evaluate_log_series(
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive for the logarithm")
     ns, vals = lam.float_arrays()
-    if ns.size:
-        ln = np.log(ns.astype(np.float64))
-        value = complex(((vals / ln) * np.exp(-s.s * ln)).sum())
-    else:
-        value = 0.0 + 0.0j
-    value += math.log(float(a1))
+    ln = np.log(ns.astype(np.float64))
+    value = complex(_partial_sum(vals / ln, ln, [s.s], 0)[0, 0]) + math.log(float(a1))
     if growth is None:
         tb = math.inf
     else:

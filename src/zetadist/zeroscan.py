@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction
 from .errors import ContourError, DomainError, OutOfDomainError
-from .series import evaluate_series_batch, n_cap, tail_bound
+from .series import _tail_for, evaluate_series_batch, n_cap, smallest_n
 
 STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
@@ -186,14 +186,8 @@ def _contour_pass(a: ArithmeticFunction, rect: Rectangle, N: int, quad_tol: floa
     return winding_integral, quad_error, integ.min_modulus
 
 
-def _tail_on_contour(a: ArithmeticFunction, sigma_min: float, N: int) -> float:
-    if a.support_limit is not None and N >= a.support_limit:
-        return 0.0
-    return tail_bound(a.growth.C, a.growth.eps, sigma_min, N)
-
-
 def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int, quad_tol: float) -> ZeroScanReport:
-    tail = _tail_on_contour(a, rect.sigma_min, N)
+    tail = _tail_for(a, rect.sigma_min, N, 0)
     try:
         w, qerr, minmod = _contour_pass(a, rect, N, quad_tol)
         # refine when quadrature (not the tail) is what blocks certification
@@ -256,16 +250,8 @@ def count_zeros(
     if floor <= 0.0:
         return _scan_once(a, rect, limit, quad_tol)
     target = floor / (2.0 * _MARGIN)
-    lo, hi = coarse.N_used, limit
-    if _tail_on_contour(a, rect.sigma_min, hi) > target:
-        return _scan_once(a, rect, limit, quad_tol)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _tail_on_contour(a, rect.sigma_min, mid) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return _scan_once(a, rect, lo, quad_tol)
+    n = smallest_n(lambda m: _tail_for(a, rect.sigma_min, m, 0) <= target, coarse.N_used, limit)
+    return _scan_once(a, rect, limit if n is None else n, quad_tol)
 
 
 def localize_zeros(
@@ -374,19 +360,13 @@ def estimate_sigma0(
     limit = min(len(a), n_cap())
 
     if sigma_lo is None:
-        if a.support_limit is not None and limit >= a.support_limit:
-            sigma_lo = 1.0 + eps + tol
+        floor = 1.0 + eps + tol
+        for cand in (floor, *(1.0 + eps + d for d in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0))):
+            if cand < sigma_hi and _tail_for(a, cand, limit, 0) <= 5e-3:
+                sigma_lo = max(cand, floor)
+                break
         else:
-            floor = 1.0 + eps + tol
-            sigma_lo = None
-            for cand in (floor, *(1.0 + eps + d for d in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0))):
-                if cand >= sigma_hi:
-                    continue
-                if tail_bound(a.growth.C, eps, cand, limit) <= 5e-3:
-                    sigma_lo = max(cand, floor)
-                    break
-            if sigma_lo is None:
-                sigma_lo = 1.0 + eps + 1.0
+            sigma_lo = 1.0 + eps + 1.0
     if not 1.0 + eps < sigma_lo < sigma_hi:
         raise OutOfDomainError(f"sigma_lo={sigma_lo} outside (1+eps, sigma_hi)")
 

@@ -65,6 +65,15 @@ def test_eval_csv_format():
     assert abs(float(first[2]) - math.pi**2 / 6) < 2e-3
 
 
+def test_eval_manifest_records_n_used(tmp_path):
+    run("--out", str(tmp_path), "eval", "--gen", "ones", "--sigma", "2", "--tol", "1e-3",
+        "--t", "0:1:3", "--max", "2000")
+    out = tmp_path / "eval.csv"
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert {row[5] for row in rows} == {"1001"}
+    assert manifest_of(out)["N"] == 1001
+
+
 def test_cf_trivial_point():
     proc = run("cf", "--gen", "ones", "--sigma", "2", "--t", "0", "--max", "1000")
     row = proc.stdout.strip().splitlines()[1].split(",")
@@ -107,6 +116,13 @@ def test_moments_direct_method():
     obj = json.loads(proc.stdout)
     assert obj["method"] == "direct"
     assert abs(obj["mean"] - (-math.log(2) / 5)) < 1e-12
+
+
+def test_moments_direct_manifest_records_law_n(tmp_path):
+    # oneplusq:2 is supported on {1, 2}, so the law stops at N=2 whatever --max is
+    run("--out", str(tmp_path), "moments", "--gen", "oneplusq:2", "--sigma", "2",
+        "--method", "direct", "--tol", "1e-9", "--max", "64")
+    assert manifest_of(tmp_path / "moments.json")["N"] == 2
 
 
 def test_sample_reproducible(tmp_path):

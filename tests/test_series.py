@@ -10,17 +10,49 @@ from zetadist import (
     EvalPoint,
     NotCharacteristicWarning,
     OutOfDomainError,
+    Rectangle,
     ResourceLimitError,
+    build_distribution,
+    count_zeros,
     evaluate_cf,
     evaluate_log_series,
     evaluate_series,
+    moments_analytic,
     tail_bound,
     von_mangoldt,
 )
 from zetadist.arith import ArithmeticFunction, MangoldtSequence, LogLinear, primes_up_to
-from zetadist.series import derivative_growth, evaluate_series_batch
+from zetadist.series import _partial_sum, derivative_growth, evaluate_series_batch, smallest_n
 
 from conftest import ZETA2, ZETA2_POINT, direct_zeta, gen
+
+
+def _points(count: int) -> np.ndarray:
+    """``count`` points spread over sigma in [1.5, 4] and t in [-30, 30]."""
+    u = np.linspace(0.0, 1.0, count)
+    return (1.5 + 2.5 * u**2) + 1j * (60.0 * u - 30.0)
+
+
+def _oracle(coeffs, ns, points, order):
+    """Independent per-term reference for sum_n c_n (-log n)^k n^{-s},
+    k = 0..order: Python complex powers n**-s, each sum taken with math.fsum.
+
+    Returns (values, bounds), both of shape (order+1, len(points)).  The bound
+    is (n_terms + 8) * eps * sum_n |term|: worst-case rounding of a float sum
+    of n_terms terms (Higham's gamma_n) plus a few ulps per term for the
+    power and the products.
+    """
+    logs = [-math.log(n) for n in ns]
+    values = np.zeros((order + 1, len(points)), dtype=np.complex128)
+    bounds = np.zeros((order + 1, len(points)))
+    slack = (len(logs) + 8) * np.finfo(np.float64).eps
+    for j, s in enumerate(complex(p) for p in points):
+        base = [c * float(n) ** -s for c, n in zip(coeffs, ns)]
+        for k in range(order + 1):
+            terms = [z * lg**k for z, lg in zip(base, logs)]
+            values[k, j] = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+            bounds[k, j] = slack * math.fsum(abs(z) for z in terms)
+    return values, bounds
 
 
 class TestEvaluate:
@@ -94,15 +126,57 @@ class TestEvaluate:
         with pytest.raises(ResourceLimitError):
             evaluate_series(ones, EvalPoint(2.0), tol=1e-12)
 
-    def test_batch_matches_pointwise(self):
-        fn = gen("ezstar", 2000)
-        pts = np.array([2.0 + 0j, 2.5 + 3j, 4.0 - 1j])
-        z, dz = evaluate_series_batch(fn, pts, order=1, N=2000)
-        for i, p in enumerate(pts):
-            r0 = evaluate_series(fn, EvalPoint(p.real, p.imag), order=0, N=2000)
-            r1 = evaluate_series(fn, EvalPoint(p.real, p.imag), order=1, N=2000)
-            assert abs(z[i] - r0.value) < 1e-12
-            assert abs(dz[i] - r1.value) < 1e-12
+    def test_batch_matches_oracle(self):
+        # dense prefix of a(n); every point count at every order, through the
+        # batch route and (point by point) the single-point route
+        N = 2000
+        fn = gen("ezstar", N)
+        coeffs = [float(c) for c in fn.coeffs]
+        for count in (1, 2, 15, 101):
+            pts = _points(count)
+            want, bound = _oracle(coeffs, range(1, N + 1), pts, 2)
+            for order in (0, 1, 2):
+                got = evaluate_series_batch(fn, pts, order=order, N=N)
+                assert got.shape == (order + 1, count)
+                assert np.all(np.abs(got - want[: order + 1]) <= bound[: order + 1]), (count, order)
+            for j in (0, count - 1):
+                p = EvalPoint(pts[j].real, pts[j].imag)
+                for order in (0, 1, 2):
+                    got = evaluate_series(fn, p, order=order, N=N).value
+                    assert abs(got - want[order, j]) <= bound[order, j], (count, j, order)
+
+    def test_kernel_several_chunks(self):
+        # points x terms > 2^20, so the kernel sums in more than one chunk
+        N, pts = 10400, _points(101)
+        assert pts.size * N > 1 << 20
+        got = evaluate_series_batch(gen("ones", N), pts, order=2, N=N)
+        want, bound = _oracle([1.0] * N, range(1, N + 1), pts, 2)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_kernel_sparse_mangoldt(self):
+        # log series terms A(n)/log n on the nonzero A(n) only
+        lam = von_mangoldt(gen("ezstar", 2000))
+        ns, vals = lam.float_arrays()
+        ln = np.log(ns.astype(np.float64))
+        coeffs = list(vals / ln)
+        pts = _points(15)
+        want, bound = _oracle(coeffs, ns.tolist(), pts, 2)
+        assert np.all(np.abs(_partial_sum(vals / ln, ln, pts, 2) - want) <= bound)
+        g = evaluate_log_series(lam, Fraction(1), EvalPoint(pts[3].real, pts[3].imag))
+        assert abs(g.value - want[0, 3]) <= bound[0, 3]
+        # moments: mean is row 1 and variance row 2 at the real point sigma
+        want, bound = _oracle(coeffs, ns.tolist(), np.array([2.5 + 0j]), 2)
+        mean, variance = moments_analytic(lam, 2.5)
+        assert abs(mean - want[1, 0].real) <= bound[1, 0]
+        assert abs(variance - want[2, 0].real) <= bound[2, 0]
+
+    def test_kernel_empty_arrays_sum_to_zero(self):
+        empty = np.empty(0)
+        out = _partial_sum(empty, empty, _points(2), 2)
+        assert out.shape == (3, 2) and not out.any()
+        lam = MangoldtSequence({}, 8)
+        assert evaluate_log_series(lam, Fraction(3), EvalPoint(2.0, 1.0)).value == math.log(3.0)
+        assert moments_analytic(lam, 2.0) == (0.0, 0.0)
 
 
 class TestTailBound:
@@ -135,6 +209,28 @@ class TestTailBound:
         for N in (10, 100, 1000):
             partial = (np.log(n[:N]) / n[:N] ** 2).sum()
             assert full - partial <= tail_bound(C2, e2, 2.0, N)
+
+    def test_smallest_n(self):
+        assert smallest_n(lambda n: n >= 7, 1, 10) == 7
+        assert smallest_n(lambda n: n >= 7, 9, 10) == 9
+        assert smallest_n(lambda n: n >= 11, 1, 10) is None
+
+    def test_chosen_n_pinned(self):
+        # truncations chosen by the tolerance rule, the law builder (including
+        # its fallback to the normalizer at the cap) and the count_zeros
+        # escalation; any change to the shared tail rule or bisection that
+        # moves one of these literal N values changes published results
+        ones = gen("ones", 10**5)
+        for point, order, tol, n in ((EvalPoint(2.0), 0, 1e-4, 10001),
+                                     (EvalPoint(2.5, 3.0), 1, 1e-3, 279),
+                                     (EvalPoint(3.0), 2, 1e-6, 8387)):
+            assert evaluate_series(ones, point, order=order, tol=tol).N_used == n
+        assert evaluate_series(gen("dk:2", 10**4), EvalPoint(2.5), tol=1e-4).N_used == 7310
+        for sigma, tol, n in ((2.0, 1e-4, 10001), (2.0, 1e-5, 60795), (3.0, 1e-9, 22362)):
+            assert build_distribution(ones, sigma, tol).N == n
+        assert build_distribution(gen("ezstar", 4096), 3.0, 1e-6).N == 709
+        rep = count_zeros(ones, Rectangle(1.4, 2.0, 0.0, 5.0))
+        assert (rep.N_used, rep.winding, rep.status) == (60020, 0, "certified")
 
     def test_doubling_never_increases(self):
         for name in ("ones", "dk:2", "ezstar"):
