@@ -211,11 +211,10 @@ def _parse_rect(arg: str) -> Rectangle:
 
 def cmd_zeros(args) -> int:
     fn, source = _resolve_function(args.gen, args.max)
-    report = count_zeros(fn, _parse_rect(args.rect), N=args.N, quad_tol=args.tol)
+    report = count_zeros(fn, _parse_rect(args.rect), N=args.N)
     out = _Out(args.out, "zeros.json")
     out.write_line(json.dumps(report.to_json_obj(), sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=report.N_used,
-                           tolerances={"quad_tol": args.tol}))
+    out.finish(RunManifest(command=sys.argv[1:], source=source, N=report.N_used))
     return 0
 
 
@@ -231,7 +230,7 @@ def cmd_sigma0(args) -> int:
         "height_T": est.height,
         "strip": [est.sigma_lo, est.sigma_hi],
     }, sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.N,
+    out.finish(RunManifest(command=sys.argv[1:], source=source, N=est.N_used,
                            tolerances={"tol": args.tol}))
     return 0
 
@@ -450,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rect", required=True, help="sigma1,sigma2,t1,t2")
     p.add_argument("--N", type=int)
-    p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("sigma0", help="bounded-height zero-free abscissa bracket (JSON)")

@@ -171,7 +171,8 @@ def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np
     for start in range(0, logn.size, step):
         ln = logn[start:start + step]
         w = coeffs[start:start + step]
-        mag = np.exp(np.multiply.outer(-pts.real, ln))
+        mag = np.multiply.outer(-pts.real, ln)
+        np.exp(mag, out=mag)
         phase = np.multiply.outer(pts.imag, ln)
         cos = np.cos(phase)
         cos *= mag
@@ -181,6 +182,8 @@ def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np
             wk = w * (-ln) ** k if k else w
             re[k] += cos @ wk
             im[k] -= sin @ wk
+        # free this chunk's arrays before the next chunk allocates its own
+        del mag, phase, cos, sin
     return out
 
 

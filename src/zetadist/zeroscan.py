@@ -1,12 +1,29 @@
 """Certified zero counting in rectangles of the half-plane sigma > 1.
 
-The winding number of the *truncated* series Z_N around a rectangle is
-computed by adaptive Gauss-Kronrod quadrature of Z_N'/Z_N.  Z_N is an entire
-function, so that integral is an exact integer up to quadrature error; the
-count transfers to the full series whenever the truncation tail stays well
-below the minimum of |Z_N| on the contour (Rouche).  A report is "certified"
-only when min |Z| on the contour exceeds 10x the combined tail bound and
-quadrature error estimate and the integral lands within 0.1 of an integer.
+The winding number of the *truncated* series Z_N around a rectangle is found
+by tracking the argument of Z_N along the contour.  One pass over the
+coefficients gives, with w(n) = |a(n)| n^{-sigma_min} for n <= N,
+
+- L = sum w(n) log n, a bound on |Z_N'| on the whole rectangle, and
+- rnd = (N + 8 + 4 (sigma_max + max|t|) log N) 2^-53 sum w(n), a bound on
+  the floating-point error of each computed value of Z_N.
+
+Starting from 8 points per edge (corners included), every segment of length
+h with L h > kappa max(|z_i|, |z_{i+1}|), kappa = 1/2, is split into
+ceil(L h / (kappa max)) pieces (at most 64), all new points of a round being
+evaluated in one batch.  Once no segment needs splitting, the image of each
+segment lies in a disc about its larger endpoint value that excludes 0, so
+the winding number sum Arg(z_{i+1}/z_i) / 2pi is exact, and
+lower = min_i (|z_i| + |z_{i+1}| - L h_i) / 2 bounds |Z_N| from below along
+the whole contour.  The count transfers to the full series when the
+truncation tail stays well below that bound (Rouche): a report is
+"certified" only when lower exceeds 10x (tail + rnd), every term of which is
+a bound.  A contour that needs more than 2^16 evaluations or a step below
+1e-12 is reported "contour-too-close".
+
+Report fields: ``winding_integral`` is the tracked sum (imaginary part 0),
+``quad_error`` holds rnd, ``tail_bound`` the truncation tail alone and
+``min_modulus_on_contour`` the smallest sampled |Z_N|.
 """
 from __future__ import annotations
 
@@ -24,40 +41,13 @@ STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
 STATUS_TAIL_DOMINATED = "tail-dominated"
 
-DEFAULT_QUAD_TOL = 1e-3
 _MARGIN = 10.0
-
-# 15-point Kronrod extension of 7-point Gauss (standard constants).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-_KNODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
-_KWEIGHTS = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[:-1][::-1]])
-_GWEIGHTS = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
-_GIDX = np.arange(1, 15, 2)
+_KAPPA = 0.5
+_START_POINTS = 8      # per edge, corners included
+_MAX_PIECES = 64
+_MAX_EVALS = 1 << 16
+_MIN_STEP = 1e-12
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -109,108 +99,69 @@ class ZeroScanReport:
         }
 
 
-class _EdgeIntegrator:
-    """Adaptive GK15 along one rectangle edge for Z'/Z, batched evaluation.
-
-    Globally adaptive: the interval with the largest error estimate is split
-    first, until the summed estimate meets the tolerance or the subdivision
-    budget runs out (robust even with a pole on or near the contour, where
-    per-interval tolerance halving would subdivide without bound).
-    """
-
-    def __init__(self, a: ArithmeticFunction, N: int, max_intervals: int = 4096):
-        self.a = a
-        self.N = N
-        self.max_intervals = max_intervals
-        self.min_modulus = math.inf
-        self.evals = 0
-
-    def _quad_interval(self, to_s, lo: float, hi: float) -> tuple[complex, float]:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs = mid + half * _KNODES
-        pts = to_s(xs)
-        z, dz = evaluate_series_batch(self.a, pts, order=1, N=self.N)
-        self.evals += pts.size
-        m = float(np.abs(z).min())
-        if m < self.min_modulus:
-            self.min_modulus = m
-        if m == 0.0:
-            raise ZeroDivisionError("contour passes through a zero of the truncated series")
-        vals = dz / z
-        k = half * complex(np.dot(_KWEIGHTS, vals))
-        g = half * complex(np.dot(_GWEIGHTS, vals[_GIDX]))
-        return k, abs(k - g)
-
-    def integrate(self, to_s, lo: float, hi: float, tol: float) -> tuple[complex, float]:
-        import heapq
-
-        span = hi - lo
-        k, e = self._quad_interval(to_s, lo, hi)
-        heap = [(-e, 0, lo, hi, k)]
-        serial = 1
-        err_total = e
-        while len(heap) < self.max_intervals and err_total > tol:
-            neg_e, _, a_, b_, _ = heap[0]
-            if (b_ - a_) < 1e-12 * span:
-                break  # worst piece too narrow to resolve further
-            heapq.heappop(heap)
-            m = 0.5 * (a_ + b_)
-            k1, e1 = self._quad_interval(to_s, a_, m)
-            k2, e2 = self._quad_interval(to_s, m, b_)
-            heapq.heappush(heap, (-e1, serial, a_, m, k1))
-            heapq.heappush(heap, (-e2, serial + 1, m, b_, k2))
-            serial += 2
-            err_total += neg_e + e1 + e2  # neg_e removes the parent estimate
-        total = sum(item[4] for item in heap)
-        err_total = -sum(item[0] for item in heap)
-        return total, err_total
+def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, L: float):
+    """Samples s and values z = Z_N(s) around the closed contour
+    (counterclockwise, s[-1] == s[0]), refined until L h <= kappa max|z| on
+    every segment.  Returns (s, z, resolved); resolved is False when the
+    evaluation budget or the step floor stopped the refinement first."""
+    corners = np.array([
+        complex(rect.sigma_min, rect.t_min), complex(rect.sigma_max, rect.t_min),
+        complex(rect.sigma_max, rect.t_max), complex(rect.sigma_min, rect.t_max),
+    ])
+    frac = np.arange(_START_POINTS - 1) / (_START_POINTS - 1)
+    s = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * frac).ravel()
+    z = evaluate_series_batch(a, s, 0, N)[0]
+    s, z = np.append(s, s[0]), np.append(z, z[0])
+    evals = s.size - 1
+    while True:
+        h = np.abs(np.diff(s))
+        m = np.maximum(np.abs(z[:-1]), np.abs(z[1:]))
+        need = np.flatnonzero(L * h > _KAPPA * m)
+        if need.size == 0:
+            return s, z, True
+        if h[need].min() < _MIN_STEP:
+            return s, z, False
+        with np.errstate(divide="ignore"):
+            pieces = np.minimum(np.ceil(L * h[need] / (_KAPPA * m[need])), _MAX_PIECES).astype(np.int64)
+        k = pieces - 1  # new points per split segment
+        evals += int(k.sum())
+        if evals > _MAX_EVALS:
+            return s, z, False
+        seg = np.repeat(need, k)
+        j = np.arange(seg.size) - np.repeat(np.cumsum(k) - k, k) + 1
+        new = s[seg] + (s[seg + 1] - s[seg]) * (j / np.repeat(pieces, k))
+        z_new = evaluate_series_batch(a, new, 0, N)[0]
+        s = np.insert(s, seg + 1, new)
+        z = np.insert(z, seg + 1, z_new)
 
 
-def _contour_pass(a: ArithmeticFunction, rect: Rectangle, N: int, quad_tol: float):
-    """One full counterclockwise contour integration of Z'/Z ds."""
-    edges = (
-        (lambda x: x + 1j * rect.t_min, rect.sigma_min, rect.sigma_max, 1.0),   # bottom, ds = dx
-        (lambda x: rect.sigma_max + 1j * x, rect.t_min, rect.t_max, 1.0j),      # right,  ds = i dx
-        (lambda x: x + 1j * rect.t_max, rect.sigma_min, rect.sigma_max, -1.0),  # top (reversed)
-        (lambda x: rect.sigma_min + 1j * x, rect.t_min, rect.t_max, -1.0j),     # left (reversed)
-    )
-    integ = _EdgeIntegrator(a, N)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for to_s, lo, hi, ds in edges:
-        part, e = integ.integrate(to_s, lo, hi, quad_tol / 4.0)
-        total += part * ds
-        err += e
-    winding_integral = total / (2.0j * math.pi)
-    quad_error = err / (2.0 * math.pi)
-    return winding_integral, quad_error, integ.min_modulus
-
-
-def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int, quad_tol: float) -> ZeroScanReport:
+def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int) -> ZeroScanReport:
     tail = _tail_for(a, rect.sigma_min, N, 0)
-    try:
-        w, qerr, minmod = _contour_pass(a, rect, N, quad_tol)
-        # refine when quadrature (not the tail) is what blocks certification
-        if minmod > _MARGIN * tail and minmod <= _MARGIN * (tail + qerr):
-            w, qerr, minmod = _contour_pass(a, rect, N, minmod / (4.0 * _MARGIN))
-    except ZeroDivisionError:
-        return ZeroScanReport(rect, 0, 0.0, STATUS_TOO_CLOSE, 0j, math.inf, tail, N)
+    logn = a.log_n()[:N]
+    w = np.exp(logn * -rect.sigma_min)
+    w *= np.abs(a.float_coeffs()[:N])
+    L = float(w @ logn)
+    t_abs = max(abs(rect.t_min), abs(rect.t_max))
+    rnd = (N + 8 + 4 * (rect.sigma_max + t_abs) * math.log(N)) * _UNIT_ROUNDOFF * float(w.sum())
 
-    nearest = round(w.real)
-    integer_gap = abs(w - nearest)
+    s, z, resolved = _track_contour(a, rect, N, L)
+    mod = np.abs(z)
+    minmod = float(mod.min())
+    lower = float((mod[:-1] + mod[1:] - L * np.abs(np.diff(s))).min()) / 2.0
+    winding = float(np.angle(z[1:] * np.conj(z[:-1])).sum()) / (2.0 * math.pi)
     if minmod <= _MARGIN * tail:
         status = STATUS_TAIL_DOMINATED
-    elif minmod <= _MARGIN * (tail + qerr) or integer_gap > 0.1 or nearest < 0:
+    elif not resolved or lower <= _MARGIN * (tail + rnd):
         status = STATUS_TOO_CLOSE
     else:
         status = STATUS_CERTIFIED
     return ZeroScanReport(
         rectangle=rect,
-        winding=max(int(nearest), 0),
+        winding=max(round(winding), 0),
         min_modulus_on_contour=minmod,
         status=status,
-        winding_integral=w,
-        quad_error=qerr,
+        winding_integral=complex(winding, 0.0),
+        quad_error=rnd,
         tail_bound=tail,
         N_used=N,
     )
@@ -223,7 +174,6 @@ def count_zeros(
     a: ArithmeticFunction,
     rect: Rectangle,
     N: Optional[int] = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> ZeroScanReport:
     """Number of zeros (with multiplicity) of the series inside ``rect``.
 
@@ -241,17 +191,17 @@ def count_zeros(
         )
     limit = min(len(a), n_cap())
     if N is not None:
-        return _scan_once(a, rect, min(N, limit), quad_tol)
+        return _scan_once(a, rect, min(N, limit))
 
-    coarse = _scan_once(a, rect, min(_COARSE_N, limit), quad_tol)
+    coarse = _scan_once(a, rect, min(_COARSE_N, limit))
     if coarse.certified or coarse.N_used == limit:
         return coarse
     floor = coarse.min_modulus_on_contour - coarse.tail_bound
     if floor <= 0.0:
-        return _scan_once(a, rect, limit, quad_tol)
+        return _scan_once(a, rect, limit)
     target = floor / (2.0 * _MARGIN)
     n = smallest_n(lambda m: _tail_for(a, rect.sigma_min, m, 0) <= target, coarse.N_used, limit)
-    return _scan_once(a, rect, limit if n is None else n, quad_tol)
+    return _scan_once(a, rect, limit if n is None else n)
 
 
 def localize_zeros(
@@ -259,7 +209,6 @@ def localize_zeros(
     rect: Rectangle,
     min_size: float,
     N: Optional[int] = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> list[ZeroScanReport]:
     """Recursively subdivide ``rect`` until every nonzero count sits in a box
     whose longer side is below ``min_size``.
@@ -279,7 +228,7 @@ def localize_zeros(
     stack = [rect]
     while stack:
         box = stack.pop()
-        rep = count_zeros(a, box, N=N, quad_tol=quad_tol)
+        rep = count_zeros(a, box, N=N)
         width = box.sigma_max - box.sigma_min
         height = box.t_max - box.t_min
         small = max(width, height) <= min_size
@@ -305,7 +254,8 @@ class Sigma0Estimate:
     """Bounded-height bracket for the zero-free abscissa.
 
     ``certificate`` always names the strip actually examined; nothing here
-    claims anything about |t| > height.
+    claims anything about |t| > height.  ``N_used`` is the truncation of
+    every strip count.
     """
 
     bracket: tuple[float, float]
@@ -314,6 +264,7 @@ class Sigma0Estimate:
     height: float
     sigma_lo: float
     sigma_hi: float
+    N_used: int
 
 
 def _certified_count(a, sigma, sigma_hi, T, N, attempts=5) -> ZeroScanReport:
@@ -377,7 +328,7 @@ def estimate_sigma0(
             f"zero-free on [{sigma_lo:.6g}, {sigma_hi:.6g}] x [-{T:g}, {T:g}] "
             f"(up to height {T:g} only; N={N_used})"
         )
-        return Sigma0Estimate((sigma_lo, sigma_lo), cert, True, T, sigma_lo, sigma_hi)
+        return Sigma0Estimate((sigma_lo, sigma_lo), cert, True, T, sigma_lo, sigma_hi, N_used)
 
     lo, hi = sigma_lo, sigma_hi
     # rightmost zero is below sigma_hi - tol if the certificate holds at all:
@@ -393,4 +344,4 @@ def estimate_sigma0(
         f"strip [{lo:.9g}, {sigma_hi:.6g}] x [-{T:g}, {T:g}] contains a zero; "
         f"zero-free on [{hi:.9g}, {sigma_hi:.6g}] x [-{T:g}, {T:g}] (up to height {T:g} only; N={N_used})"
     )
-    return Sigma0Estimate((lo, hi), cert, False, T, sigma_lo, sigma_hi)
+    return Sigma0Estimate((lo, hi), cert, False, T, sigma_lo, sigma_hi, N_used)

@@ -2,17 +2,22 @@
 error exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 MODULE = [sys.executable, "-m", "zetadist.cli"]
+# the child interpreters import zetadist from this checkout, as pytest does
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(*argv, check=True):
     proc = subprocess.run(
-        MODULE + list(argv), capture_output=True, text=True, timeout=600
+        MODULE + list(argv), capture_output=True, text=True, timeout=600, env=ENV
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -93,6 +98,14 @@ def test_sigma0_json():
     obj = json.loads(proc.stdout)
     lo, hi = obj["bracket"]
     assert lo <= 2.0 <= hi and hi - lo <= 1e-3
+
+
+def test_sigma0_manifest_records_n_used(tmp_path):
+    run("--out", str(tmp_path), "sigma0", "--gen", "oneplusq:2:4", "--height", "10",
+        "--sigma-hi", "4", "--max", "16")
+    out = tmp_path / "sigma0.json"
+    assert "N=16" in json.loads(out.read_text())["certificate"]
+    assert manifest_of(out)["N"] == 16
 
 
 def test_dist_head():

@@ -140,6 +140,13 @@ class TestClassify:
         assert res.negative_witness == 4
         assert any("sigma > 2" in c for c in res.consequences)
 
+    def test_all_ones_at_a_height_where_quadrature_failed(self):
+        # a single Gauss-Kronrod panel over an edge of length 2T passed its
+        # error test by chance here and no nudge certified
+        fn = gen("ones", 3552)
+        res = classify(fn, von_mangoldt(fn), T=29.835077, sigma_hi=3.0)
+        assert res.verdict == "case2_2"
+
     def test_engineered_zero_line(self):
         fn = gen("oneplusq:2:4", 4096)
         lam = von_mangoldt(fn)

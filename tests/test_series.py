@@ -230,7 +230,7 @@ class TestTailBound:
             assert build_distribution(ones, sigma, tol).N == n
         assert build_distribution(gen("ezstar", 4096), 3.0, 1e-6).N == 709
         rep = count_zeros(ones, Rectangle(1.4, 2.0, 0.0, 5.0))
-        assert (rep.N_used, rep.winding, rep.status) == (60020, 0, "certified")
+        assert (rep.N_used, rep.winding, rep.status) == (60060, 0, "certified")
 
     def test_doubling_never_increases(self):
         for name in ("ones", "dk:2", "ezstar"):

@@ -23,21 +23,6 @@ def engineered():
     return gen("oneplusq:2:4", 16)
 
 
-def test_quadrature_constants():
-    # both rules integrate constants exactly over [-1, 1]
-    import numpy as np
-
-    from zetadist.zeroscan import _GWEIGHTS, _KNODES, _KWEIGHTS
-
-    assert abs(_KWEIGHTS.sum() - 2.0) < 1e-14
-    assert abs(_GWEIGHTS.sum() - 2.0) < 1e-14
-    assert np.allclose(_KNODES, -_KNODES[::-1])
-    # Kronrod-15 is exact for odd powers (symmetry) and high even powers
-    for k in (2, 6, 12):
-        exact = 2.0 / (k + 1)
-        assert abs((_KWEIGHTS * _KNODES**k).sum() - exact) < 1e-13, k
-
-
 class TestRectangleValidation:
     def test_needs_half_plane(self):
         with pytest.raises(OutOfDomainError):
@@ -93,6 +78,55 @@ class TestEngineeredZero:
         # left edge passes exactly through sigma=2 where the zero line sits
         rep = count_zeros(engineered, Rectangle(2.0, 2.3, 4.0, 5.0))
         assert not rep.certified
+
+
+class TestArgumentTracking:
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-14])
+    def test_edge_near_zero_never_certified_wrong(self, engineered, delta):
+        # each edge in turn passes delta inside or outside the zero at 2 + i T_ZERO
+        cases = (
+            (Rectangle(2.0 - delta, 2.3, 4.0, 5.0), 1), (Rectangle(2.0 + delta, 2.3, 4.0, 5.0), 0),
+            (Rectangle(1.7, 2.0 + delta, 4.0, 5.0), 1), (Rectangle(1.7, 2.0 - delta, 4.0, 5.0), 0),
+            (Rectangle(1.7, 2.3, T_ZERO - delta, 5.0), 1), (Rectangle(1.7, 2.3, T_ZERO + delta, 5.0), 0),
+            (Rectangle(1.7, 2.3, 4.0, T_ZERO + delta), 1), (Rectangle(1.7, 2.3, 4.0, T_ZERO - delta), 0),
+        )
+        for rect, expected in cases:
+            rep = count_zeros(engineered, rect)
+            assert not rep.certified or rep.winding == expected, (rect, rep.winding)
+            if delta == 1e-6:
+                # a pass this close is resolved by refinement, not given up
+                assert rep.certified, (rect, rep.status)
+
+    def test_winding_is_exact_sum_of_arguments(self, engineered):
+        rep = count_zeros(engineered, Rectangle(1.7, 2.3, -5.0, 5.0))
+        assert rep.certified and rep.winding == 2
+        assert abs(rep.winding_integral - 2.0) < 1e-12
+        assert 0.0 < rep.quad_error < 1e-12  # rounding bound, N=16
+
+    def test_certificate_uses_the_bound_between_samples(self, engineered, monkeypatch):
+        # with the tail just under a tenth of the sampled minimum, only a
+        # bound as large as the sampled minimum itself would certify; the
+        # bound along whole segments lies below it
+        from zetadist import zeroscan
+
+        rect = Rectangle(1.7, 2.3, 4.0, 5.0)
+        m = count_zeros(engineered, rect).min_modulus_on_contour
+        monkeypatch.setattr(zeroscan, "_tail_for", lambda *args: 0.099 * m)
+        assert count_zeros(engineered, rect, N=16).status == "contour-too-close"
+
+    def test_exhausted_budget_is_not_certified(self, engineered, monkeypatch):
+        from zetadist import zeroscan
+
+        # the 28 starting points fill the budget; this contour needs a few more
+        monkeypatch.setattr(zeroscan, "_MAX_EVALS", 28)
+        assert count_zeros(engineered, Rectangle(1.7, 2.3, 4.0, 5.0)).status == "contour-too-close"
+
+    @pytest.mark.parametrize("T", [6.8, 9.05, 9.1, 13.4, 14.9, 17.35, 28.7, 28.75, 28.8])
+    def test_sigma0_bracket_holds_where_quadrature_missed(self, engineered, T):
+        # heights at which the earlier Gauss-Kronrod scanner certified a
+        # bracket missing the zero line sigma = 2
+        lo, hi = estimate_sigma0(engineered, T=T, sigma_hi=4.0, tol=1e-3).bracket
+        assert lo <= 2.0 <= hi and hi - lo <= 1e-3
 
 
 class TestZeroFreeWindows:
