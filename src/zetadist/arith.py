@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidLengthError, NonInvertibleError
@@ -94,7 +95,7 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
         p += 1
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), sieve))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +289,14 @@ class ArithmeticFunction:
     ``growth`` certifies |a(n)| <= C n^eps for the *entire* (infinite)
     sequence, which is what makes truncation-tail bounds possible downstream.
     ``support_limit`` marks sequences known to vanish beyond that index, in
-    which case tails are exactly zero.  Instances are immutable; the lazy
-    float views are idempotent, so a concurrent first use is benign.
+    which case tails are exactly zero.  ``multiplicative`` certifies that
+    a(n)/a(1) is multiplicative, so ``von_mangoldt`` may work on prime powers
+    alone; like ``growth`` it is vouched for by the caller, not checked, and
+    it is not serialised.  Instances are immutable; the lazy float views are
+    idempotent, so a concurrent first use is benign.
     """
 
-    __slots__ = ("coeffs", "growth", "name", "support_limit", "_float_cache", "_logn_cache")
+    __slots__ = ("coeffs", "growth", "name", "support_limit", "multiplicative", "_float_cache", "_logn_cache")
 
     def __init__(
         self,
@@ -300,6 +304,7 @@ class ArithmeticFunction:
         growth: Optional[GrowthBound] = None,
         name: str = "",
         support_limit: Optional[int] = None,
+        multiplicative: bool = False,
     ):
         vals = tuple(_as_fraction(c) for c in coeffs)
         if len(vals) < 1:
@@ -308,6 +313,7 @@ class ArithmeticFunction:
         object.__setattr__(self, "growth", growth)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "support_limit", support_limit)
+        object.__setattr__(self, "multiplicative", multiplicative)
         object.__setattr__(self, "_float_cache", None)
         object.__setattr__(self, "_logn_cache", None)
 
@@ -423,8 +429,9 @@ def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
     """The convolution inverse, by forward elimination.
 
     inv(1) = 1/a(1) and inv(n) = -(1/a(1)) sum_{d|n, d<n} inv(d) a(n/d); the
-    sieve pushes each finished inv(d) onto its multiples so sparse inputs cost
-    only what their support demands.
+    sieve pushes each finished inv(d) onto its multiples, and an index whose
+    accumulator stayed zero is skipped, so sparse inputs cost only what their
+    support demands.
     """
     N = len(a)
     a1 = a.coeffs[0]
@@ -433,14 +440,16 @@ def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
     inv = [_ZERO] * (N + 1)
     acc = [_ZERO] * (N + 1)
     anz = [m for m in _nonzero_indices(a.coeffs) if m >= 2]
-    inv_a1 = 1 / a1
+    inv_a1 = inv[1] = 1 / a1
     for n in range(1, N + 1):
-        inv[n] = inv_a1 if n == 1 else -acc[n] * inv_a1
+        if n > 1:
+            if not acc[n]:
+                continue  # inv(n) = 0: nothing to compute or push
+            inv[n] = -acc[n] * inv_a1
         v = inv[n]
-        if v != 0:
-            limit = N // n
-            for m in anz[: bisect_right(anz, limit)]:
-                acc[n * m] += v * a.coeffs[m - 1]
+        limit = N // n
+        for m in anz[: bisect_right(anz, limit)]:
+            acc[n * m] += v * a.coeffs[m - 1]
     return ArithmeticFunction(inv[1:], name=f"({a.name})^-1")
 
 
@@ -475,14 +484,23 @@ class MangoldtSequence:
 
     These are the generalized von Mangoldt values: A(n)/log n are the
     Dirichlet coefficients of log Z for the series Z with coefficients a.
-    Stored sparsely; absent indices are exactly zero.
+    Stored sparsely; absent indices are exactly zero.  ``route`` names the
+    algorithm that built the table: ``"prime-powers"`` or ``"dense"``.
     """
 
-    __slots__ = ("_nonzero", "N", "source", "_array_cache")
+    __slots__ = ("_nonzero", "N", "source", "route", "_array_cache")
 
-    def __init__(self, nonzero: Mapping[int, LogLinear], N: int, source: Optional[ArithmeticFunction] = None):
+    def __init__(
+        self,
+        nonzero: Mapping[int, LogLinear],
+        N: int,
+        source: Optional[ArithmeticFunction] = None,
+        route: str = "dense",
+    ):
         if N < 1:
             raise InvalidLengthError(f"invalid length {N}")
+        if route not in ("prime-powers", "dense"):
+            raise ValueError(f"unknown route {route!r}")
         clean = {n: v for n, v in nonzero.items() if not v.is_zero()}
         for n in clean:
             if not 2 <= n <= N:
@@ -490,6 +508,7 @@ class MangoldtSequence:
         object.__setattr__(self, "_nonzero", dict(sorted(clean.items())))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "route", route)
         object.__setattr__(self, "_array_cache", None)
 
     def __setattr__(self, key, value):
@@ -526,11 +545,18 @@ class MangoldtSequence:
         return None
 
     def __repr__(self) -> str:
-        return f"MangoldtSequence(N={self.N}, nonzeros={len(self._nonzero)})"
+        return f"MangoldtSequence(N={self.N}, nonzeros={len(self._nonzero)}, route={self.route!r})"
 
 
 def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
-    """A(n) = ((a log) * a^{-1})(n), exact, for 2 <= n <= len(a)."""
+    """A(n) = ((a log) * a^{-1})(n), exact, for 2 <= n <= len(a).
+
+    A function marked ``multiplicative`` takes the prime-power route; every
+    other function takes the dense route, two convolutions over all of 1..N.
+    Both give the same table.
+    """
+    if a.multiplicative:
+        return _mangoldt_prime_powers(a)
     N = len(a)
     inv = dirichlet_inverse(a)  # raises NonInvertibleError when a(1) = 0
     twist = log_twist(a)
@@ -554,3 +580,40 @@ def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
         if t
     }
     return MangoldtSequence(nonzero, N, source=a)
+
+
+def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
+    """A(n) for a multiplicative b = a/a(1), on prime powers only.
+
+    log Z is a sum over primes of the logs of the Euler factors, so A vanishes
+    off prime powers, and A(p^r) = c_r log p with
+    c_r = r b(p^r) - sum_{0<j<r} c_j b(p^(r-j)) (Apostol, ch. 2).  Primes on
+    whose powers a vanishes contribute nothing and are skipped.
+    """
+    N = len(a)
+    coeffs = a.coeffs
+    a1 = coeffs[0]
+    if a1 == 0:
+        raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
+    nonzero: dict[int, LogLinear] = {}
+    for p in primes_up_to(N):
+        powers = []
+        q = p
+        while q <= N:
+            powers.append(q)
+            q *= p
+        b = [coeffs[q - 1] for q in powers]
+        if not any(b):
+            continue
+        if a1 != 1:
+            b = [x / a1 for x in b]
+        c = [b[0]]  # c_1 = b(p)
+        for r in range(2, len(b) + 1):
+            cr = b[r - 1] * r
+            for j in range(1, r):
+                cr -= c[j - 1] * b[r - j - 1]
+            c.append(cr)
+        for q, cr in zip(powers, c):
+            if cr:
+                nonzero[q] = LogLinear._raw(((p, cr),))
+    return MangoldtSequence(nonzero, N, source=a, route="prime-powers")

@@ -25,11 +25,11 @@ from .dist import RNG_ALGORITHM, build_distribution, moments_analytic, moments_d
 from .errors import DomainError, ResourceLimitError, ZetadistError
 from .generators import generate, parse_spec
 from .levy import classify, quasi_levy_measure
-from .series import EvalPoint, evaluate_cf, evaluate_series
+from .series import EvalPoint, _resolve_n, evaluate_cf, evaluate_series
 from .zeroscan import Rectangle, count_zeros, estimate_sigma0
 
 FLOAT_FMT = "%.17g"
-T_HELP = "t or start:stop:steps; a grid with a negative start needs '=', as in --t=-10:10:101"
+T_HELP = "t or start:stop:steps, as in --t -10:10:101"
 
 _RUN_START = time.monotonic()
 
@@ -197,7 +197,7 @@ def cmd_cf(args) -> int:
     for t in _t_values(args.t):
         v = evaluate_cf(fn, args.sigma, t, N=args.N)
         out.write_line(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.N or args.max))
+    out.finish(RunManifest(command=sys.argv[1:], source=source, N=_resolve_n(fn, args.sigma, args.N, None, 0)))
     return 0
 
 
@@ -506,10 +506,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_t_values(argv: list[str]) -> list[str]:
+    """Glue a --t value that starts with '-' to its flag: argparse reads
+    '--t -10:10:101' as two options, but '--t=-10:10:101' as one."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--t" and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."):
+            out[-1] = "--t=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     global _RUN_START
     _RUN_START = time.monotonic()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_t_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

@@ -15,7 +15,7 @@ from .arith import (
     ArithmeticFunction,
     GrowthBound,
     Rational,
-    dirichlet_convolve,
+    factorize,
     primes_up_to,
     smallest_factor_sieve,
 )
@@ -139,15 +139,40 @@ def _square_flags(N: int) -> list[bool]:
     return flags
 
 
+def _from_exponents(N: int, f) -> list[Fraction]:
+    """a(1..N) of the multiplicative a with a(p^e) = f(e) for every prime p.
+
+    One pass over the smallest-factor sieve: n = p^e m with p = spf(n) and
+    p not dividing m, so a(n) = a(m) f(e).
+    """
+    spf = smallest_factor_sieve(N)
+    table = [f(e) for e in range(N.bit_length())]
+    vals = [0] * (N + 1)
+    vals[1] = 1
+    for n in range(2, N + 1):
+        p = spf[n]
+        m, e = n // p, 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        vals[n] = vals[m] * table[e]
+    shared = {v: Fraction(v) for v in set(vals)}  # one object per distinct value
+    return [shared[v] for v in vals[1:]]
+
+
 def generate(spec: GeneratorSpec) -> ArithmeticFunction:
-    """Materialize the coefficient family described by ``spec``."""
+    """Materialize the coefficient family described by ``spec``.
+
+    Every family except ezstar, and one-plus-q when q is not a prime power,
+    is multiplicative and comes back marked so.
+    """
     N = spec.length
     name = spec.cli_name()
     one = Fraction(1)
     zero = Fraction(0)
 
     if spec.kind == "ones":
-        return ArithmeticFunction([one] * N, growth=GrowthBound(1.0, 0.0), name=name)
+        return ArithmeticFunction([one] * N, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
 
     if spec.kind == "power":
         alpha = spec.alpha
@@ -157,16 +182,14 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
             )
         e = -int(alpha)
         coeffs = [Fraction(1, n**e) for n in range(1, N + 1)]
-        return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name)
+        return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
 
     if spec.kind == "divisor":
-        ones = ArithmeticFunction([one] * N, name="ones")
-        acc = ones
-        for _ in range(spec.k - 1):
-            acc = dirichlet_convolve(acc, ones)
-        C = divisor_growth_constant(spec.k)
+        k = spec.k
+        coeffs = _from_exponents(N, lambda e: comb(e + k - 1, k - 1))
+        C = divisor_growth_constant(k)
         return ArithmeticFunction(
-            acc.coeffs, growth=GrowthBound(C, DIVISOR_GROWTH_EPS), name=name
+            coeffs, growth=GrowthBound(C, DIVISOR_GROWTH_EPS), name=name, multiplicative=True
         )
 
     if spec.kind == "one-plus-q":
@@ -180,22 +203,12 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
             growth=GrowthBound(max(1.0, float(c)), 0.0),
             name=name,
             support_limit=q,
+            multiplicative=len(factorize(q)) == 1,  # q a prime power
         )
 
     if spec.kind == "abs-moebius":
-        spf = smallest_factor_sieve(N)
-        coeffs = [zero] * (N + 1)
-        coeffs[1] = one
-        for n in range(2, N + 1):
-            m, squarefree = n, True
-            while m > 1:
-                p = spf[m]
-                m //= p
-                if m % p == 0:
-                    squarefree = False
-                    break
-            coeffs[n] = one if squarefree else zero
-        return ArithmeticFunction(coeffs[1:], growth=GrowthBound(1.0, 0.0), name=name)
+        coeffs = _from_exponents(N, lambda e: 1 if e == 1 else 0)
+        return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
 
     # euler-zagier-star: 1 on perfect squares, 1/2 otherwise
     half = Fraction(1, 2)

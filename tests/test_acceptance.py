@@ -37,7 +37,7 @@ from zetadist import (
     tail_bound,
     von_mangoldt,
 )
-from zetadist.arith import ArithmeticFunction, MangoldtSequence, factorize
+from zetadist.arith import ArithmeticFunction, factorize
 
 from conftest import ZETA2, gen, oracle_mangoldt
 
@@ -58,15 +58,6 @@ class _Budget:
         if exc_type is None:
             assert elapsed < self.seconds, f"{self.criterion} exceeded budget: {elapsed:.1f}s"
         return False
-
-
-def _np_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
 
 
 def test_criterion_1_worked_values_exact():
@@ -182,23 +173,13 @@ def test_criterion_4_moments(monkeypatch):
         mean_q, _ = moments_analytic(lam_q, 2.0)
         assert abs(mean_q - (-math.log(2.0) / 5.0)) < 1e-12
 
-        # (b) all-ones at sigma=2.  The analytic route uses the prime-power
-        # pattern sequence A(p^r) = log p at depth 2^22 (the pattern is proved
-        # exactly to 512 by criterion 2; building the dense exact convolution
-        # to 2^22 is not feasible).  The direct route needs a 2e7-term law, so
-        # the truncation cap is raised via its documented env override.
+        # (b) all-ones at sigma=2.  The analytic route reads A(n) at depth
+        # 2^22, built on prime powers (ones is marked multiplicative).  The
+        # direct route needs a 2e7-term law, so the truncation cap is raised
+        # via its documented env override.
         monkeypatch.setenv("ZETADIST_MAX_N", str(25_000_000))
-        N_A = 1 << 22
-        one = Fraction(1)
-        pattern = {}
-        for p in _np_primes(N_A):
-            p = int(p)
-            pk = p
-            entry = LogLinear._raw(((p, one),))  # keys from the sieve are prime
-            while pk <= N_A:
-                pattern[pk] = entry
-                pk *= p
-        lam_ones = MangoldtSequence(pattern, N_A)
+        lam_ones = von_mangoldt(gen("ones", 1 << 22))
+        assert lam_ones.route == "prime-powers"
         mean_a, var_a = moments_analytic(lam_ones, 2.0)
 
         ones_big = gen("ones", 20_000_000)

@@ -85,6 +85,23 @@ def test_cf_trivial_point():
     assert float(row[2]) == 1.0 and float(row[3]) == 0.0
 
 
+def test_cf_manifest_records_n_used(tmp_path):
+    # without --N the default truncation 10^5 applies, not --max
+    run("--out", str(tmp_path), "cf", "--gen", "ones", "--max", "200000", "--sigma", "2", "--t", "0")
+    assert manifest_of(tmp_path / "cf.csv")["N"] == 100000
+    # --N beyond the stored coefficients is cut to --max
+    run("--out", str(tmp_path), "cf", "--gen", "ones", "--max", "1000", "--N", "5000",
+        "--sigma", "2", "--t", "0")
+    assert manifest_of(tmp_path / "cf.csv")["N"] == 1000
+
+
+def test_negative_t_grid_without_equals():
+    spaced = run("eval", "--gen", "ones", "--sigma", "2", "--t", "-1:1:3", "--max", "100").stdout
+    joined = run("eval", "--gen", "ones", "--sigma", "2", "--t=-1:1:3", "--max", "100").stdout
+    assert spaced == joined
+    assert len(spaced.strip().splitlines()) == 4
+
+
 def test_zeros_json():
     proc = run("zeros", "--gen", "oneplusq:2:4", "--rect", "1.7,2.3,4.0,5.0", "--max", "16")
     obj = json.loads(proc.stdout)

@@ -44,9 +44,11 @@ def test_divisor_k2():
 
 
 def test_divisor_equals_iterated_convolution():
-    ones = gen("ones", 64)
-    expected = dirichlet_convolve(dirichlet_convolve(ones, ones), ones)
-    assert gen("dk:3", 64).coeffs == expected.coeffs
+    ones = gen("ones", 2000)
+    expected = ones
+    for k in range(2, 6):
+        expected = dirichlet_convolve(expected, ones)
+        assert gen(f"dk:{k}", 2000).coeffs == expected.coeffs, k
 
 
 def test_divisor_growth_certificate_holds():

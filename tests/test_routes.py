@@ -1,0 +1,125 @@
+"""The two A(n) routes: the prime-power route of multiplicative functions
+against the dense route and the independent recursion oracle, which
+functions take which route, and the sparse Dirichlet inverse."""
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zetadist import dirichlet_inverse, identity_function, von_mangoldt
+from zetadist.arith import ArithmeticFunction, MangoldtSequence, factorize
+
+from conftest import gen, oracle_convolve, oracle_inverse, oracle_mangoldt
+
+MARKED = ("ones", "pow:-1", "pow:-2", "dk:2", "dk:3", "dk:4", "absmu",
+          "oneplusq:2", "oneplusq:4:3", "oneplusq:9")
+UNMARKED = ("ezstar", "oneplusq:6", "oneplusq:12")
+
+
+def dense_of(fn: ArithmeticFunction) -> MangoldtSequence:
+    """The dense route on the same coefficients (the copy carries no mark)."""
+    lam = von_mangoldt(ArithmeticFunction(fn.coeffs))
+    assert lam.route == "dense"
+    return lam
+
+
+def assert_same_table(lam: MangoldtSequence, want: dict, N: int) -> None:
+    for n in range(2, N + 1):
+        assert lam[n] == want.get(n, 0), f"n={n}"
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_marked_family_equals_dense_and_oracle(name):
+    fn = gen(name, 300)
+    lam = von_mangoldt(fn)
+    assert fn.multiplicative and lam.route == "prime-powers"
+    assert_same_table(lam, dict(dense_of(fn).nonzeros()), 300)
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), 300)
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_marked_family_equals_dense_at_depth(name):
+    fn = gen(name, 4096)
+    lam = von_mangoldt(fn)
+    assert dict(lam.nonzeros()) == dict(dense_of(fn).nonzeros())
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_marked_family_tiny_lengths(name):
+    for N in (1, 2, 3, 4):
+        fn = gen(name, N)
+        assert dict(von_mangoldt(fn).nonzeros()) == dict(dense_of(fn).nonzeros())
+
+
+@pytest.mark.parametrize("name", UNMARKED)
+def test_unmarked_family_takes_dense_route(name):
+    fn = gen(name, 64)
+    assert not fn.multiplicative
+    lam = von_mangoldt(fn)
+    assert lam.route == "dense"
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), 64)
+
+
+def test_json_input_takes_dense_route():
+    ones = gen("ones", 64)
+    back = ArithmeticFunction.from_json(ones.to_json())
+    assert "multiplicative" not in json.loads(ones.to_json())
+    assert von_mangoldt(back).route == "dense"
+    assert dict(von_mangoldt(back).nonzeros()) == dict(von_mangoldt(ones).nonzeros())
+
+
+def test_route_is_read_only():
+    lam = von_mangoldt(gen("ones", 16))
+    with pytest.raises(AttributeError):
+        lam.route = "dense"
+    with pytest.raises(ValueError):
+        MangoldtSequence({}, 4, route="sparse")
+
+
+def test_prime_power_route_needs_invertible_a1():
+    from zetadist import NonInvertibleError
+
+    with pytest.raises(NonInvertibleError):
+        von_mangoldt(ArithmeticFunction([0, 1, 1], multiplicative=True))
+
+
+@st.composite
+def multiplicative_functions(draw):
+    """a = a(1) b with b multiplicative: random nonnegative rationals on the
+    prime powers up to N (zero included), a(1) positive and not 1."""
+    N = draw(st.integers(min_value=1, max_value=160))
+    values = st.fractions(min_value=Fraction(0), max_value=Fraction(3), max_denominator=6)
+    on_prime_powers = {n: draw(values) for n in range(2, N + 1) if len(factorize(n)) == 1}
+    a1 = draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(4), max_denominator=8)
+              .filter(lambda x: x != 1))
+    coeffs = []
+    for n in range(1, N + 1):
+        b = Fraction(1)
+        for p, e in factorize(n).items():
+            b *= on_prime_powers[p**e]
+        coeffs.append(a1 * b)
+    return ArithmeticFunction(coeffs, multiplicative=True)
+
+
+@given(multiplicative_functions())
+@settings(max_examples=60, deadline=None)
+def test_random_multiplicative_equals_dense_and_oracle(fn):
+    lam = von_mangoldt(fn)
+    assert lam.route == "prime-powers"
+    N = len(fn)
+    assert_same_table(lam, dict(dense_of(fn).nonzeros()), N)
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), N)
+
+
+def test_sparse_inverse_matches_oracle():
+    # one-plus-q with composite q and a sparse function with a(1) != 1: most
+    # accumulators stay zero and are skipped
+    sparse = ArithmeticFunction(
+        [Fraction(3, 2)] + [Fraction(0)] * 4 + [Fraction(-2, 3)] + [Fraction(0)] * 3
+        + [Fraction(5)] + [Fraction(0)] * 190
+    )
+    for fn in (gen("oneplusq:6", 300), sparse):
+        inv = dirichlet_inverse(fn)
+        assert list(inv.coeffs) == oracle_inverse(list(fn.coeffs))
+        assert oracle_convolve(list(inv.coeffs), list(fn.coeffs)) == list(identity_function(len(fn)).coeffs)
