@@ -3,7 +3,8 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``) and
 values built from logarithms of integers are kept symbolically as linear
 combinations of log p over primes, so equality and sign questions have exact
-answers.  Floating point never enters this module.
+answers.  Floating point enters only the read-only float views that the
+numerical modules use.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
+from operator import attrgetter, truediv
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidLengthError, NonInvertibleError
@@ -24,6 +26,9 @@ RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -291,9 +296,13 @@ class ArithmeticFunction:
     ``support_limit`` marks sequences known to vanish beyond that index, in
     which case tails are exactly zero.  ``multiplicative`` certifies that
     a(n)/a(1) is multiplicative, so ``von_mangoldt`` may work on prime powers
-    alone; like ``growth`` it is vouched for by the caller, not checked, and
-    it is not serialised.  Instances are immutable; the lazy float views are
-    idempotent, so a concurrent first use is benign.
+    alone.  ``float_view`` certifies that a float64 array equals
+    ``float(a(n))`` for every n, bit for bit (sign bit included); it is then
+    the float view itself, made read-only, instead of one converted lazily.
+    Like ``growth``, both certificates are vouched for by the caller, not
+    checked (only the view's length is), and neither is serialised.
+    Instances are immutable; the lazy float views are idempotent, so a
+    concurrent first use is benign.
     """
 
     __slots__ = ("coeffs", "growth", "name", "support_limit", "multiplicative", "_float_cache", "_logn_cache")
@@ -305,16 +314,27 @@ class ArithmeticFunction:
         name: str = "",
         support_limit: Optional[int] = None,
         multiplicative: bool = False,
+        *,
+        float_view=None,
     ):
-        vals = tuple(_as_fraction(c) for c in coeffs)
+        vals = tuple(coeffs)
+        if not set(map(type, vals)) <= {Fraction}:
+            vals = tuple(map(_as_fraction, vals))
         if len(vals) < 1:
             raise InvalidLengthError("need at least a(1)")
+        if float_view is not None:
+            import numpy as np
+
+            float_view = np.asarray(float_view, dtype=np.float64)
+            if float_view.shape != (len(vals),):
+                raise ValueError(f"float view of shape {float_view.shape} for {len(vals)} coefficients")
+            float_view.flags.writeable = False
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "growth", growth)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "support_limit", support_limit)
         object.__setattr__(self, "multiplicative", multiplicative)
-        object.__setattr__(self, "_float_cache", None)
+        object.__setattr__(self, "_float_cache", float_view)
         object.__setattr__(self, "_logn_cache", None)
 
     def __setattr__(self, key, value):  # immutability outside the caches
@@ -344,11 +364,22 @@ class ArithmeticFunction:
     # -- float views (cached; shared by the numerical modules) --------------
 
     def float_coeffs(self):
+        """float(a(n)) for n = 1..N as a read-only float64 array.
+
+        Without a ``float_view`` certificate each entry is numerator /
+        denominator, the correctly rounded int/int division that
+        ``Fraction.__float__`` performs (so a tiny negative gives -0.0 and an
+        entry beyond the float range raises OverflowError).
+        """
         import numpy as np
 
         cached = self._float_cache
         if cached is None:
-            cached = np.fromiter(map(float, self.coeffs), dtype=np.float64, count=len(self.coeffs))
+            c = self.coeffs
+            cached = np.fromiter(
+                map(truediv, map(_NUMERATOR, c), map(_DENOMINATOR, c)), dtype=np.float64, count=len(c)
+            )
+            cached.flags.writeable = False
             object.__setattr__(self, "_float_cache", cached)
         return cached
 
@@ -505,7 +536,19 @@ class MangoldtSequence:
         for n in clean:
             if not 2 <= n <= N:
                 raise ValueError(f"index {n} outside 2..{N}")
-        object.__setattr__(self, "_nonzero", dict(sorted(clean.items())))
+        self._fill(clean.items(), N, source, route)
+
+    @classmethod
+    def _built(
+        cls, items: Iterable[tuple[int, LogLinear]], N: int, source: ArithmeticFunction, route: str
+    ) -> "MangoldtSequence":
+        """A table ``von_mangoldt`` built: no zero value, every index in 2..N."""
+        obj = object.__new__(cls)
+        obj._fill(items, N, source, route)
+        return obj
+
+    def _fill(self, items, N, source, route) -> None:
+        object.__setattr__(self, "_nonzero", dict(sorted(items)))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "route", route)
@@ -574,12 +617,8 @@ def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
                     target.pop(p, None)
                 else:
                     target[p] = cur
-    nonzero = {
-        n: LogLinear._raw(tuple(sorted(t.items())))
-        for n, t in acc.items()
-        if t
-    }
-    return MangoldtSequence(nonzero, N, source=a)
+    nonzero = ((n, LogLinear._raw(tuple(sorted(t.items())))) for n, t in acc.items() if t)
+    return MangoldtSequence._built(nonzero, N, a, "dense")
 
 
 def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
@@ -595,7 +634,7 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
     a1 = coeffs[0]
     if a1 == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
-    nonzero: dict[int, LogLinear] = {}
+    nonzero: list[tuple[int, LogLinear]] = []
     for p in primes_up_to(N):
         powers = []
         q = p
@@ -615,5 +654,5 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
             c.append(cr)
         for q, cr in zip(powers, c):
             if cr:
-                nonzero[q] = LogLinear._raw(((p, cr),))
-    return MangoldtSequence(nonzero, N, source=a, route="prime-powers")
+                nonzero.append((q, LogLinear._raw(((p, cr),))))
+    return MangoldtSequence._built(nonzero, N, a, "prime-powers")

@@ -15,24 +15,28 @@ import numpy as np
 
 from .arith import ArithmeticFunction, MangoldtSequence
 from .errors import DomainError, NotDistributionError, OutOfDomainError, ResourceLimitError
-from .series import EvalResult, _partial_sum, _tail_for, derivative_growth, n_cap, smallest_n, tail_bound
+from .series import (
+    EvalResult,
+    _first_negative,
+    _partial_sum,
+    _tail_for,
+    derivative_growth,
+    n_cap,
+    smallest_n,
+    tail_bound,
+)
 
 RNG_ALGORITHM = "numpy-PCG64"
 SAMPLE_TAIL_GATE = 1e-12
 
 
 def _check_assumption(a: ArithmeticFunction) -> None:
-    """a(1) > 0 and a(n) >= 0, confirmed exactly on any suspicious entry."""
+    """a(1) > 0 (exact) and a(n) >= 0 (from the float view's sign bits)."""
     if a.coeffs[0] <= 0:
         raise NotDistributionError("a(1) must be positive to define a distribution")
-    fa = a.float_coeffs()
-    bad = np.flatnonzero(fa < 0.0)
-    if bad.size:
-        raise NotDistributionError(f"a({int(bad[0]) + 1}) < 0: not a characteristic function")
-    # floats can underflow a tiny negative rational to -0.0 or 0.0; re-check exactly
-    for idx in np.flatnonzero(fa == 0.0):
-        if a.coeffs[int(idx)] < 0:
-            raise NotDistributionError(f"a({int(idx) + 1}) < 0: not a characteristic function")
+    n = _first_negative(a)
+    if n is not None:
+        raise NotDistributionError(f"a({n}) < 0: not a characteristic function")
 
 
 @dataclass(frozen=True)

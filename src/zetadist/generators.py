@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Optional
+
+import numpy as np
 
 from .arith import (
     ArithmeticFunction,
@@ -130,17 +132,9 @@ def divisor_growth_constant(k: int, eps: float = DIVISOR_GROWTH_EPS) -> float:
     return C
 
 
-def _square_flags(N: int) -> list[bool]:
-    flags = [False] * (N + 1)
-    i = 1
-    while i * i <= N:
-        flags[i * i] = True
-        i += 1
-    return flags
-
-
-def _from_exponents(N: int, f) -> list[Fraction]:
-    """a(1..N) of the multiplicative a with a(p^e) = f(e) for every prime p.
+def _from_exponents(N: int, f) -> list[int]:
+    """a(1..N) of the integer-valued multiplicative a with a(p^e) = f(e) for
+    every prime p.
 
     One pass over the smallest-factor sieve: n = p^e m with p = spf(n) and
     p not dividing m, so a(n) = a(m) f(e).
@@ -156,15 +150,27 @@ def _from_exponents(N: int, f) -> list[Fraction]:
             m //= p
             e += 1
         vals[n] = vals[m] * table[e]
-    shared = {v: Fraction(v) for v in set(vals)}  # one object per distinct value
-    return [shared[v] for v in vals[1:]]
+    del vals[0]
+    return vals
+
+
+def _exact(N: int, default: Fraction, other: Fraction, where: np.ndarray) -> tuple[Fraction, ...]:
+    """a(1..N) equal to ``other`` at the 0-based indices ``where`` and to
+    ``default`` elsewhere, as a tuple that shares these two objects."""
+    coeffs = [default] * N
+    for i in where.tolist():
+        coeffs[i] = other
+    return tuple(coeffs)
 
 
 def generate(spec: GeneratorSpec) -> ArithmeticFunction:
     """Materialize the coefficient family described by ``spec``.
 
     Every family except ezstar, and one-plus-q when q is not a prime power,
-    is multiplicative and comes back marked so.
+    is multiplicative and comes back marked so.  Every family except power
+    builds its float view with numpy from the same data as its exact values
+    (small integers, 1/2 or the one-plus-q mass), and the exact values share
+    one ``Fraction`` object per distinct value.
     """
     N = spec.length
     name = spec.cli_name()
@@ -172,7 +178,9 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
     zero = Fraction(0)
 
     if spec.kind == "ones":
-        return ArithmeticFunction([one] * N, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
+        return ArithmeticFunction(
+            (one,) * N, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True, float_view=np.ones(N)
+        )
 
     if spec.kind == "power":
         alpha = spec.alpha
@@ -181,37 +189,62 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
                 f"n^({alpha}) has irrational coefficients; only integer exponents are exact"
             )
         e = -int(alpha)
-        coeffs = [Fraction(1, n**e) for n in range(1, N + 1)]
+        coeffs = tuple(Fraction(1, n**e) for n in range(1, N + 1))
         return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
 
     if spec.kind == "divisor":
         k = spec.k
-        coeffs = _from_exponents(N, lambda e: comb(e + k - 1, k - 1))
+        vals = _from_exponents(N, lambda e: comb(e + k - 1, k - 1))
         C = divisor_growth_constant(k)
+        shared = {v: Fraction(v) for v in set(vals)}
         return ArithmeticFunction(
-            coeffs, growth=GrowthBound(C, DIVISOR_GROWTH_EPS), name=name, multiplicative=True
+            tuple(map(shared.__getitem__, vals)),
+            growth=GrowthBound(C, DIVISOR_GROWTH_EPS),
+            name=name,
+            multiplicative=True,
+            float_view=np.array(vals, dtype=np.float64),  # d_k(n) < 2^53: exact
         )
 
     if spec.kind == "one-plus-q":
         q, c = spec.q, spec.c if spec.c is not None else one
         coeffs = [zero] * N
         coeffs[0] = one
+        view = np.zeros(N)
+        view[0] = 1.0
         if q <= N:
             coeffs[q - 1] = c
+            view[q - 1] = float(c)
         return ArithmeticFunction(
             coeffs,
             growth=GrowthBound(max(1.0, float(c)), 0.0),
             name=name,
             support_limit=q,
             multiplicative=len(factorize(q)) == 1,  # q a prime power
+            float_view=view,
         )
 
     if spec.kind == "abs-moebius":
-        coeffs = _from_exponents(N, lambda e: 1 if e == 1 else 0)
-        return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
+        # squarefree sieve: a(n) = 0 iff p^2 | n for some prime p
+        squarefree = np.ones(N + 1, dtype=bool)
+        for p in primes_up_to(isqrt(N)):
+            squarefree[p * p :: p * p] = False
+        flags = squarefree[1:]
+        return ArithmeticFunction(
+            _exact(N, one, zero, np.flatnonzero(~flags)),
+            growth=GrowthBound(1.0, 0.0),
+            name=name,
+            multiplicative=True,
+            float_view=flags.astype(np.float64),
+        )
 
     # euler-zagier-star: 1 on perfect squares, 1/2 otherwise
-    half = Fraction(1, 2)
-    flags = _square_flags(N)
-    coeffs = [one if flags[n] else half for n in range(1, N + 1)]
-    return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name)
+    roots = np.arange(1, isqrt(N) + 1)
+    squares = roots * roots - 1
+    view = np.full(N, 0.5)
+    view[squares] = 1.0
+    return ArithmeticFunction(
+        _exact(N, Fraction(1, 2), one, squares),
+        growth=GrowthBound(1.0, 0.0),
+        name=name,
+        float_view=view,
+    )

@@ -212,6 +212,18 @@ def evaluate_series(
     return EvalResult(value=value, tail_bound=tb, N_used=N_used)
 
 
+def _first_negative(a: ArithmeticFunction) -> Optional[int]:
+    """Least n with a(n) < 0, or None, read off the float view's sign bits.
+
+    float() of a Fraction is a correctly rounded int/int division that keeps
+    the sign, so a negative a(n) too small for a float still reads -0.0, and
+    the closed-form views of the generators are exact.
+    """
+    negative = np.signbit(a.float_coeffs())
+    n = int(negative.argmax())
+    return n + 1 if negative[n] else None
+
+
 def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int = 0, N: Optional[int] = None):
     """Values of the series truncated at N (default DEFAULT_N) and of its
     derivative orders up to ``order`` at a batch of complex points.
@@ -238,7 +250,7 @@ def evaluate_cf(
     """
     if not sigma > 1.0:
         raise OutOfDomainError(f"sigma={sigma} must exceed 1")
-    if float(a.float_coeffs().min()) < 0.0:
+    if _first_negative(a) is not None:
         warnings.warn(
             "negative coefficient present: quotient is not a characteristic function",
             NotCharacteristicWarning,

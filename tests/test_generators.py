@@ -91,8 +91,8 @@ def test_absmu():
 
 
 def test_absmu_equals_squarefree_indicator():
-    fn = gen("absmu", 500)
-    for n in range(1, 501):
+    fn = gen("absmu", 2000)
+    for n in range(1, 2001):
         squarefree = all(e == 1 for e in factorize(n).values())
         assert fn(n) == (1 if squarefree else 0)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetadist import dirichlet_inverse, identity_function, von_mangoldt
-from zetadist.arith import ArithmeticFunction, MangoldtSequence, factorize
+from zetadist.arith import ArithmeticFunction, LogLinear, MangoldtSequence, factorize
 
 from conftest import gen, oracle_convolve, oracle_inverse, oracle_mangoldt
 
@@ -75,6 +75,30 @@ def test_route_is_read_only():
         lam.route = "dense"
     with pytest.raises(ValueError):
         MangoldtSequence({}, 4, route="sparse")
+
+
+@pytest.mark.parametrize("name", ("ones", "absmu", "oneplusq:6", "ezstar"))
+def test_built_tables_are_ordered_and_equal_the_public_constructor(name):
+    # both routes hand their tables to MangoldtSequence without its checks;
+    # the public constructor, which filters, range-checks and sorts, must
+    # give the same ordered table
+    fn = gen(name, 1000)
+    lam = von_mangoldt(fn)
+    items = list(lam.nonzeros())
+    assert [n for n, _ in items] == sorted(n for n, _ in items)
+    assert all(2 <= n <= 1000 and not v.is_zero() for n, v in items)
+    shuffled = dict(reversed(items))
+    assert list(MangoldtSequence(shuffled, 1000, route=lam.route).nonzeros()) == items
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), 1000)
+
+
+def test_public_constructor_checks_its_input():
+    two = LogLinear.log_of(2)
+    lam = MangoldtSequence({4: two, 3: LogLinear(), 2: two}, 4)
+    assert list(lam.nonzeros()) == [(2, two), (4, two)]
+    for bad in (1, 5):
+        with pytest.raises(ValueError):
+            MangoldtSequence({bad: two}, 4)
 
 
 def test_prime_power_route_needs_invertible_a1():
