@@ -349,6 +349,12 @@ class ArithmeticFunction:
         return self.coeffs[n - 1]
 
     def first_negative_index(self) -> Optional[int]:
+        """Least n with a(n) < 0, or None, by an exact scan of the stored
+        values.  For exact-only callers (``satisfies_assumption``,
+        ``levy.validate_characteristic``): it builds no float view, which
+        would cost an O(N) conversion and raises OverflowError on an entry
+        beyond the float range.  Callers that read the view anyway test its
+        sign bits instead (``series._first_negative``)."""
         for i, c in enumerate(self.coeffs):
             if c < 0:
                 return i + 1

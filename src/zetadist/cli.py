@@ -1,6 +1,11 @@
 """Command-line front end: generators -> computations -> CSV/JSON outputs,
 with a reproducibility manifest beside every file written.
 
+Each subcommand returns an ``Output``: its file name, its lines and a
+manifest of the values it used.  ``main`` alone writes them, to stdout or to
+``--out DIR``, and stamps the manifest with the argv it parsed and its own
+wall time.
+
 Exit codes: 0 success, 1 domain error, 2 resource error, 3 I/O error.
 Errors are emitted as one JSON object on stderr.
 """
@@ -12,10 +17,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +36,6 @@ from .zeroscan import Rectangle, count_zeros, estimate_sigma0
 FLOAT_FMT = "%.17g"
 T_HELP = "t or start:stop:steps, as in --t -10:10:101"
 
-_RUN_START = time.monotonic()
-
 
 def _fmt(x: float) -> str:
     return FLOAT_FMT % x
@@ -41,36 +44,31 @@ def _fmt(x: float) -> str:
 @dataclass
 class RunManifest:
     """Everything needed to reproduce one output file byte-for-byte
-    (exact outputs) or bit-for-bit on the same binary (float outputs)."""
+    (exact outputs) or bit-for-bit on the same binary (float outputs).
 
-    command: list[str]
+    A subcommand fills in the values it used (``N`` is the length or
+    truncation actually used); ``main`` fills in ``command`` and
+    ``wall_time_s``."""
+
     source: str
     N: Optional[int] = None
     seed: Optional[int] = None
     tolerances: dict = field(default_factory=dict)
     tool_version: str = __version__
     rng_algorithm: Optional[str] = None
+    command: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
 
     def write(self, out_path: Path) -> None:
-        if self.wall_time_s == 0.0:
-            self.wall_time_s = time.monotonic() - _RUN_START
-        payload = {
-            "command": self.command,
-            "source": self.source,
-            "N": self.N,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "tool_version": self.tool_version,
-            "rng_algorithm": self.rng_algorithm,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
+        payload = asdict(self)
+        payload["wall_time_s"] = round(self.wall_time_s, 6)
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
         manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _resolve_function(text: str, length: int) -> tuple[ArithmeticFunction, str]:
-    """Generator spec or a JSON file path; returns (function, source label)."""
+    """Generator spec or a JSON file path; returns (function, source label).
+    ``length`` sizes generators only: a JSON file is used at its own length."""
     path = Path(text)
     if path.suffix == ".json" or path.exists():
         try:
@@ -86,27 +84,14 @@ def _resolve_function(text: str, length: int) -> tuple[ArithmeticFunction, str]:
     return generate(spec), f"gen:{spec.cli_name()}:N={length}"
 
 
-class _Out:
-    """stdout by default; with --out DIR, a named file plus its manifest."""
+class Output(NamedTuple):
+    """What a subcommand produced: the file name it takes under --out, its
+    lines, the manifest of the values it used, and the exit code."""
 
-    def __init__(self, out_dir: Optional[str], filename: str):
-        self.path = Path(out_dir) / filename if out_dir else None
-        self.lines: list[str] = []
-
-    def write_line(self, line: str) -> None:
-        self.lines.append(line)
-
-    def finish(self, manifest: RunManifest) -> None:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.path.write_text(text, encoding="utf-8")
-            except OSError as exc:
-                raise IOError(str(exc)) from exc
-            manifest.write(self.path)
+    filename: str
+    lines: list[str]
+    manifest: RunManifest
+    exit_code: int = 0
 
 
 def _t_values(arg: str) -> list[float]:
@@ -135,70 +120,55 @@ def _loglinear_str(v: LogLinear) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
-    out = _Out(args.out, "function.json")
-    out.write_line(fn.to_json())
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.max))
-    return 0
+    return Output("function.json", [fn.to_json()], RunManifest(source, N=len(fn)))
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args) -> Output:
     from .arith import dirichlet_convolve
 
     fa, sa = _resolve_function(args.a, args.max)
     fb, sb = _resolve_function(args.b, args.max)
-    out = _Out(args.out, "convolution.json")
-    out.write_line(dirichlet_convolve(fa, fb).to_json())
-    out.finish(RunManifest(command=sys.argv[1:], source=f"{sa};{sb}", N=args.max))
-    return 0
+    c = dirichlet_convolve(fa, fb)
+    return Output("convolution.json", [c.to_json()], RunManifest(f"{sa};{sb}", N=len(c)))
 
 
-def cmd_inverse(args) -> int:
+def cmd_inverse(args) -> Output:
     from .arith import dirichlet_inverse
 
     fn, source = _resolve_function(args.a, args.max)
-    out = _Out(args.out, "inverse.json")
-    out.write_line(dirichlet_inverse(fn).to_json())
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.max))
-    return 0
+    return Output("inverse.json", [dirichlet_inverse(fn).to_json()], RunManifest(source, N=len(fn)))
 
 
-def cmd_acoeffs(args) -> int:
+def cmd_acoeffs(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     lam = von_mangoldt(fn)
-    out = _Out(args.out, "acoeffs.csv")
-    out.write_line("n,A_exact,A_float")
-    for n in range(2, args.max + 1):
+    lines = ["n,A_exact,A_float"]
+    for n in range(2, lam.N + 1):
         v = lam[n]
-        out.write_line(f"{n},{_loglinear_str(v)},{_fmt(v.evaluate())}")
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=args.max))
-    return 0
+        lines.append(f"{n},{_loglinear_str(v)},{_fmt(v.evaluate())}")
+    return Output("acoeffs.csv", lines, RunManifest(source, N=lam.N))
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
-    out = _Out(args.out, "eval.csv")
-    out.write_line("sigma,t,re,im,tail_bound,N")
+    lines = ["sigma,t,re,im,tail_bound,N"]
     for t in _t_values(args.t):
         r = evaluate_series(fn, EvalPoint(args.sigma, t), order=args.order, N=args.N, tol=args.tol)
-        out.write_line(
+        lines.append(
             f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(r.value.real)},{_fmt(r.value.imag)},{_fmt(r.tail_bound)},{r.N_used}"
         )
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=r.N_used,
-                           tolerances={"tol": args.tol}))
-    return 0
+    return Output("eval.csv", lines, RunManifest(source, N=r.N_used, tolerances={"tol": args.tol}))
 
 
-def cmd_cf(args) -> int:
+def cmd_cf(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
-    out = _Out(args.out, "cf.csv")
-    out.write_line("sigma,t,re,im")
+    lines = ["sigma,t,re,im"]
     for t in _t_values(args.t):
         v = evaluate_cf(fn, args.sigma, t, N=args.N)
-        out.write_line(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=_resolve_n(fn, args.sigma, args.N, None, 0)))
-    return 0
+        lines.append(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
+    return Output("cf.csv", lines, RunManifest(source, N=_resolve_n(fn, args.sigma, args.N, None, 0)))
 
 
 def _parse_rect(arg: str) -> Rectangle:
@@ -209,46 +179,37 @@ def _parse_rect(arg: str) -> Rectangle:
     return Rectangle(s1, s2, t1, t2)
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     report = count_zeros(fn, _parse_rect(args.rect), N=args.N)
-    out = _Out(args.out, "zeros.json")
-    out.write_line(json.dumps(report.to_json_obj(), sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=report.N_used))
-    return 0
+    return Output("zeros.json", [json.dumps(report.to_json_obj(), sort_keys=True)],
+                  RunManifest(source, N=report.N_used))
 
 
-def cmd_sigma0(args) -> int:
+def cmd_sigma0(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     est = estimate_sigma0(fn, T=args.height, sigma_hi=args.sigma_hi, tol=args.tol,
                           sigma_lo=args.sigma_lo, N=args.N)
-    out = _Out(args.out, "sigma0.json")
-    out.write_line(json.dumps({
+    line = json.dumps({
         "bracket": list(est.bracket),
         "certificate": est.certificate,
         "degenerate": est.degenerate,
         "height_T": est.height,
         "strip": [est.sigma_lo, est.sigma_hi],
-    }, sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=est.N_used,
-                           tolerances={"tol": args.tol}))
-    return 0
+    }, sort_keys=True)
+    return Output("sigma0.json", [line], RunManifest(source, N=est.N_used, tolerances={"tol": args.tol}))
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     d = build_distribution(fn, args.sigma, args.tol)
-    out = _Out(args.out, "dist.csv")
-    out.write_line("n,x,pmf")
-    head = min(args.head, d.N)
-    for n in range(1, head + 1):
-        out.write_line(f"{n},{_fmt(-math.log(n))},{_fmt(float(d.pmf[n - 1]))}")
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=d.N,
-                           tolerances={"tol": args.tol}))
-    return 0
+    lines = ["n,x,pmf"]
+    for n in range(1, min(args.head, d.N) + 1):
+        lines.append(f"{n},{_fmt(-math.log(n))},{_fmt(float(d.pmf[n - 1]))}")
+    return Output("dist.csv", lines, RunManifest(source, N=d.N, tolerances={"tol": args.tol}))
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     if args.method == "analytic":
         lam = von_mangoldt(fn)
@@ -258,48 +219,37 @@ def cmd_moments(args) -> int:
         d = build_distribution(fn, args.sigma, args.tol)
         mean, var = moments_direct(d)
         n_used = d.N
-    out = _Out(args.out, "moments.json")
-    out.write_line(json.dumps({"mean": mean, "variance": var, "method": args.method}, sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=n_used,
-                           tolerances={"tol": args.tol}))
-    return 0
+    line = json.dumps({"mean": mean, "variance": var, "method": args.method}, sort_keys=True)
+    return Output("moments.json", [line], RunManifest(source, N=n_used, tolerances={"tol": args.tol}))
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     d = build_distribution(fn, args.sigma, args.tol)
     draws = sample(d, args.count, args.seed, workers=args.threads, max_tail_mass=args.max_tail_mass)
-    out = _Out(args.out, "samples.txt")
-    for x in draws:
-        out.write_line(_fmt(float(x)))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=d.N, seed=args.seed,
-                           tolerances={"tol": args.tol, "max_tail_mass": args.max_tail_mass},
-                           rng_algorithm=RNG_ALGORITHM))
-    return 0
+    return Output("samples.txt", [_fmt(float(x)) for x in draws],
+                  RunManifest(source, N=d.N, seed=args.seed,
+                              tolerances={"tol": args.tol, "max_tail_mass": args.max_tail_mass},
+                              rng_algorithm=RNG_ALGORITHM))
 
 
-def cmd_levy(args) -> int:
+def cmd_levy(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     lam = von_mangoldt(fn)
     m = quasi_levy_measure(lam, args.sigma)
-    out = _Out(args.out, "levy.csv")
-    out.write_line("n,position,mass")
+    lines = ["n,position,mass"]
     for n, pos, mass in zip(m.ns, m.positions, m.masses):
-        out.write_line(f"{int(n)},{_fmt(float(pos))},{_fmt(float(mass))}")
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=lam.N))
-    return 0
+        lines.append(f"{int(n)},{_fmt(float(pos))},{_fmt(float(mass))}")
+    return Output("levy.csv", lines, RunManifest(source, N=lam.N))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     lam = von_mangoldt(fn)
     result = classify(fn, lam, T=args.height, sigma_hi=args.sigma_hi,
                       sigma_lo=args.sigma_lo, tol=args.tol, N=args.N)
-    out = _Out(args.out, "classification.json")
-    out.write_line(json.dumps(result.to_json_obj(), sort_keys=True))
-    out.finish(RunManifest(command=sys.argv[1:], source=source, N=lam.N,
-                           tolerances={"tol": args.tol}))
-    return 0
+    return Output("classification.json", [json.dumps(result.to_json_obj(), sort_keys=True)],
+                  RunManifest(source, N=lam.N, tolerances={"tol": args.tol}))
 
 
 # -- paper-tables: recompute the published worked values ---------------------
@@ -325,9 +275,9 @@ def _pattern_rows(name: str, maxn: int, expected_ratio) -> list[tuple[str, str, 
     return rows
 
 
-def cmd_paper_tables(args) -> int:
+def cmd_paper_tables(args) -> Output:
     maxn = args.max
-    lines: list[str] = []
+    lines = [f"reference tables: recomputed worked values up to n={maxn}"]
     failures = 0
     known_flags = 0
 
@@ -381,13 +331,8 @@ def cmd_paper_tables(args) -> int:
         got = lam[n]
         emit(f"ezstar A({n})", _loglinear_str(published), _loglinear_str(got), got == published, known=known)
 
-    out = _Out(args.out, "paper-tables.txt")
-    out.write_line(f"reference tables: recomputed worked values up to n={maxn}")
-    for line in lines:
-        out.write_line(line)
-    out.write_line(f"summary: {failures} unexpected mismatches, {known_flags} known discrepancies flagged")
-    out.finish(RunManifest(command=sys.argv[1:], source="paper-tables", N=maxn))
-    return 0 if failures == 0 else 1
+    lines.append(f"summary: {failures} unexpected mismatches, {known_flags} known discrepancies flagged")
+    return Output("paper-tables.txt", lines, RunManifest("paper-tables", N=maxn), 0 if failures == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +464,30 @@ def _join_t_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    global _RUN_START
-    _RUN_START = time.monotonic()
-    args = build_parser().parse_args(_join_t_values(sys.argv[1:] if argv is None else argv))
+    """Run one subcommand and write what it returns: to stdout, or with
+    --out DIR to DIR/<file> plus a manifest stamped with ``argv`` and the
+    wall time of this call.  The only code in the CLI that writes output."""
+    start = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_t_values(argv))
     try:
-        return args.fn(args)
-    except ResourceLimitError as exc:
+        out = args.fn(args)
+        text = "\n".join(out.lines) + ("\n" if out.lines else "")
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            path = Path(args.out) / out.filename
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise IOError(str(exc)) from exc
+            replace(out.manifest, command=argv, wall_time_s=time.monotonic() - start).write(path)
+        return out.exit_code
+    except (OSError, ZetadistError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except ZetadistError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, ResourceLimitError) else 3 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .series import (
     EvalResult,
     _first_negative,
     _partial_sum,
+    _require_domain,
     _tail_for,
     derivative_growth,
     n_cap,
@@ -73,10 +74,7 @@ def build_distribution(
     _check_assumption(a)
     if a.growth is None and a.support_limit is None:
         raise OutOfDomainError("needs a growth certificate or finite support to bound the tail mass")
-    if a.growth is not None and not sigma > 1.0 + a.growth.eps:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1+eps={1.0 + a.growth.eps}")
-    if not sigma > 1.0:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
+    _require_domain(a, sigma, 0)
 
     cap = min(len(a), n_cap())
 

@@ -107,6 +107,11 @@ def _tail_for(a: ArithmeticFunction, sigma: float, N: int, order: int) -> float:
 
 
 def _require_domain(a: ArithmeticFunction, sigma: float, order: int) -> None:
+    """The half-plane rule of evaluate_series, evaluate_cf,
+    build_distribution and count_zeros: sigma > 1, and with a growth
+    certificate sigma > 1+eps (eps bumped for derivative orders)."""
+    if not sigma > 1.0:
+        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
     if a.growth is not None:
         _, eps = derivative_growth(a.growth.C, a.growth.eps, order)
         if not sigma > 1.0 + eps:
@@ -217,7 +222,10 @@ def _first_negative(a: ArithmeticFunction) -> Optional[int]:
 
     float() of a Fraction is a correctly rounded int/int division that keeps
     the sign, so a negative a(n) too small for a float still reads -0.0, and
-    the closed-form views of the generators are exact.
+    the closed-form views of the generators are exact.  For callers that
+    read the float view anyway (evaluate_cf, build_distribution); exact-only
+    callers use ``ArithmeticFunction.first_negative_index``, which builds
+    no view.
     """
     negative = np.signbit(a.float_coeffs())
     n = int(negative.argmax())
@@ -248,15 +256,13 @@ def evaluate_cf(
     nonnegative; a negative coefficient triggers NotCharacteristicWarning but
     the quotient is still returned.
     """
-    if not sigma > 1.0:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
+    _require_domain(a, sigma, 0)
     if _first_negative(a) is not None:
         warnings.warn(
             "negative coefficient present: quotient is not a characteristic function",
             NotCharacteristicWarning,
             stacklevel=2,
         )
-    _require_domain(a, sigma, 0)
     N_used = _resolve_n(a, sigma, N, tol, 0)
     num, den = map(complex, evaluate_series_batch(a, [complex(sigma, t), sigma], 0, N_used)[0])
     if den == 0:

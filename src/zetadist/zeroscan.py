@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction
 from .errors import ContourError, DomainError, OutOfDomainError
-from .series import _tail_for, evaluate_series_batch, n_cap, smallest_n
+from .series import _require_domain, _tail_for, evaluate_series_batch, n_cap, smallest_n
 
 STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
@@ -185,10 +185,7 @@ def count_zeros(
     """
     if a.growth is None:
         raise DomainError("zero scanning needs a growth certificate")
-    if not rect.sigma_min > 1.0 + a.growth.eps:
-        raise OutOfDomainError(
-            f"rectangle sigma_min={rect.sigma_min} must exceed 1+eps={1.0 + a.growth.eps}"
-        )
+    _require_domain(a, rect.sigma_min, 0)
     limit = min(len(a), n_cap())
     if N is not None:
         return _scan_once(a, rect, min(N, limit))
@@ -254,8 +251,9 @@ class Sigma0Estimate:
     """Bounded-height bracket for the zero-free abscissa.
 
     ``certificate`` always names the strip actually examined; nothing here
-    claims anything about |t| > height.  ``N_used`` is the truncation of
-    every strip count.
+    claims anything about |t| > height.  ``sigma_lo`` and both bracket ends
+    are left edges of strips that were counted.  ``N_used`` is the
+    truncation of every strip count.
     """
 
     bracket: tuple[float, float]
@@ -267,14 +265,15 @@ class Sigma0Estimate:
     N_used: int
 
 
-def _certified_count(a, sigma, sigma_hi, T, N, attempts=5) -> ZeroScanReport:
+def _certified_count(a, sigma, sigma_hi, T, N, lo, hi, attempts=5) -> ZeroScanReport:
     """count_zeros on the strip [sigma, sigma_hi] x [-T, T], nudging the left
-    edge when the contour lands too close to a zero."""
-    width = sigma_hi - sigma
+    edge when the contour lands too close to a zero.  The nudged edge stays
+    inside (lo, hi) and moves at most a quarter of that interval, so callers
+    read the edge counted from ``rectangle.sigma_min``, never from ``sigma``."""
+    unit = min((sigma_hi - sigma) * 1e-3, (hi - lo) / 8)
     for k in range(attempts):
-        shift = 0.0 if k == 0 else ((-1) ** k) * (k // 2 + 1) * width * 1e-3
-        s = sigma + shift
-        if not 1.0 < s < sigma_hi:
+        s = sigma + ((-1) ** k) * (k // 2 + 1) * unit if k else sigma
+        if not lo < s < hi:
             continue
         rep = count_zeros(a, Rectangle(s, sigma_hi, -T, T), N=N)
         if rep.certified:
@@ -321,7 +320,8 @@ def estimate_sigma0(
     if not 1.0 + eps < sigma_lo < sigma_hi:
         raise OutOfDomainError(f"sigma_lo={sigma_lo} outside (1+eps, sigma_hi)")
 
-    base = _certified_count(a, sigma_lo, sigma_hi, T, N)
+    base = _certified_count(a, sigma_lo, sigma_hi, T, N, 1.0 + eps, sigma_hi)
+    sigma_lo = base.rectangle.sigma_min
     N_used = base.N_used  # reuse the auto-resolved truncation on later strips
     if base.winding == 0:
         cert = (
@@ -334,12 +334,11 @@ def estimate_sigma0(
     # rightmost zero is below sigma_hi - tol if the certificate holds at all:
     # a strip strictly right of every zero has winding 0; locate by bisection.
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        rep = _certified_count(a, mid, sigma_hi, T, N_used)
+        rep = _certified_count(a, 0.5 * (lo + hi), sigma_hi, T, N_used, lo, hi)
         if rep.winding >= 1:
-            lo = mid
+            lo = rep.rectangle.sigma_min
         else:
-            hi = mid
+            hi = rep.rectangle.sigma_min
     cert = (
         f"strip [{lo:.9g}, {sigma_hi:.6g}] x [-{T:g}, {T:g}] contains a zero; "
         f"zero-free on [{hi:.9g}, {sigma_hi:.6g}] x [-{T:g}, {T:g}] (up to height {T:g} only; N={N_used})"

@@ -1,13 +1,18 @@
 """End-to-end CLI runs: every subcommand, manifests, reproducibility, and
 error exit codes."""
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from zetadist import cli
+from zetadist.arith import ArithmeticFunction
 
 MODULE = [sys.executable, "-m", "zetadist.cli"]
 # the child interpreters import zetadist from this checkout, as pytest does
@@ -24,6 +29,11 @@ def run(*argv, check=True):
     return proc
 
 
+def run_in_process(argv, capsys):
+    rc = cli.main(list(argv))
+    return rc, capsys.readouterr().out
+
+
 def manifest_of(path):
     return json.loads(path.with_name(path.name + ".manifest.json").read_text())
 
@@ -37,6 +47,7 @@ def test_gen_roundtrip(tmp_path):
     assert man["tool_version"]
     assert man["source"].startswith("gen:ezstar")
     assert man["wall_time_s"] >= 0.0
+    assert man["command"] == ["--out", str(tmp_path), "gen", "--gen", "ezstar", "--max", "8"]
 
 
 def test_gen_accepts_json_file(tmp_path):
@@ -257,16 +268,17 @@ SUBCOMMAND_GOLDEN = [
 ]
 
 
-def test_every_subcommand_writes_output_and_manifest(tmp_path):
+def test_every_subcommand_writes_output_and_manifest(tmp_path, capsys):
+    # in process: the manifest records the argv cli.main parsed, not the host's
     for i, (argv, filename) in enumerate(SUBCOMMAND_GOLDEN):
-        outdir = tmp_path / f"run{i}"
-        run("--out", str(outdir), *argv)
-        out = outdir / filename
+        full = ["--out", str(tmp_path / f"run{i}"), *argv]
+        assert run_in_process(full, capsys) == (0, ""), argv[0]
+        out = tmp_path / f"run{i}" / filename
         assert out.exists(), argv[0]
         man = manifest_of(out)
         assert set(man) == {"command", "source", "N", "seed", "tolerances",
                             "tool_version", "rng_algorithm", "wall_time_s"}, argv[0]
-        assert man["command"] == ["--out", str(outdir), *argv]
+        assert man["command"] == full, argv[0]
 
 
 def test_threads_flag_sampling():
@@ -275,3 +287,63 @@ def test_threads_flag_sampling():
     b = run("--threads", "2", "sample", "--gen", "oneplusq:2", "--sigma", "2",
             "--count", "10", "--seed", "5", "--tol", "1e-9", "--max", "16").stdout
     assert a == b
+
+
+# sha256 (first 16 hex digits) of each subcommand's stdout, read before the
+# subcommands returned their rows to main.  Floats are compared at 12
+# significant digits: float outputs are reproducible bit for bit only on the
+# same binary.
+STDOUT_DIGESTS = {
+    "gen": "0b1dc305d2ad34c6",
+    "convolve": "d99b3082e71aa099",
+    "inverse": "69d242174eb1a399",
+    "acoeffs": "94f87e67f2fcec5f",
+    "eval": "f2aff97a81a78d26",
+    "cf": "ea24743e4c81e377",
+    "zeros": "b2f8bf81c2135510",
+    "sigma0": "e0b2d783a0b63f8e",
+    "dist": "ac9dad6fb2fd57ee",
+    "moments": "1776152291207f05",
+    "sample": "64d3ffec884fefb7",
+    "levy": "e547136f96a57a20",
+    "classify": "d975f5f5a3e7a2a9",
+    "paper-tables": "c89a3c89e37be588",
+}
+FLOAT_LITERAL = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
+
+
+def test_stdout_unchanged(capsys):
+    assert sorted(STDOUT_DIGESTS) == sorted(argv[0] for argv, _ in SUBCOMMAND_GOLDEN)
+    for argv, _ in SUBCOMMAND_GOLDEN:
+        rc, out = run_in_process(argv, capsys)
+        text = FLOAT_LITERAL.sub(lambda m: "%.12g" % float(m.group()), out)
+        assert rc == 0 and hashlib.sha256(text.encode()).hexdigest()[:16] == STDOUT_DIGESTS[argv[0]], argv[0]
+
+
+def test_json_input_is_used_at_its_own_length(tmp_path, capsys):
+    # --max sizes generators only; a shorter JSON file is read at its length
+    path = tmp_path / "ones8.json"
+    path.write_text(ArithmeticFunction([1] * 8, name="ones").to_json())
+    ones8 = str(path)
+    rc, out = run_in_process(["acoeffs", "--gen", ones8, "--max", "20"], capsys)
+    assert rc == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(n) for n in range(2, 9)]
+    for i, (argv, filename) in enumerate([
+        (["gen", "--gen", ones8, "--max", "3"], "function.json"),
+        (["inverse", "--a", ones8, "--max", "3"], "inverse.json"),
+        (["convolve", "--a", ones8, "--b", "ones", "--max", "20"], "convolution.json"),
+        (["acoeffs", "--gen", ones8, "--max", "20"], "acoeffs.csv"),
+    ]):
+        outdir = tmp_path / f"run{i}"
+        assert run_in_process(["--out", str(outdir), *argv], capsys)[0] == 0, argv[0]
+        assert manifest_of(outdir / filename)["N"] == 8, argv[0]
+    assert len(json.loads((tmp_path / "run0" / "function.json").read_text())["coeffs"]) == 8
+
+
+def test_paper_tables_mismatch_exits_1(monkeypatch, capsys):
+    # a wrong table must still reach the output and set the exit code
+    real = cli.von_mangoldt
+    monkeypatch.setattr(cli, "von_mangoldt", lambda fn: real(cli.generate(cli.parse_spec("absmu", len(fn)))))
+    rc, out = run_in_process(["paper-tables", "--max", "8"], capsys)
+    assert rc == 1
+    assert out.splitlines()[-1].startswith("summary: ") and "MISMATCH" in out

@@ -12,7 +12,8 @@ import pytest
 from zetadist import NotCharacteristicWarning, NotDistributionError
 from zetadist.arith import ArithmeticFunction, GrowthBound
 from zetadist.dist import build_distribution
-from zetadist.series import evaluate_cf
+from zetadist.levy import validate_characteristic
+from zetadist.series import _first_negative, evaluate_cf
 
 from conftest import gen
 
@@ -165,3 +166,23 @@ def test_nonnegative_coefficients_do_not_warn():
         warnings.simplefilter("error", NotCharacteristicWarning)
         evaluate_cf(fn, 2.0, 1.0)
     assert build_distribution(fn, 2.0, 1e-3, N=4).N == 4
+
+
+# -- the exact sign test (first_negative_index) -------------------------------
+
+def test_exact_sign_test_builds_no_float_view():
+    # the float view of 10^400 overflows, so an exact-only caller must not build it
+    huge = ArithmeticFunction([1, Fraction(10**400)], growth=GrowthBound(1.0, 0.0))
+    assert huge.satisfies_assumption()
+    assert validate_characteristic(huge).is_cf
+    assert huge._float_cache is None
+    fn = ArithmeticFunction([1, Fraction(-1, 10**400), 1])
+    assert fn.first_negative_index() == 2
+    assert fn._float_cache is None
+
+
+@pytest.mark.parametrize("values", (HARD, HARD[::-1], [abs(v) for v in HARD]),
+                         ids=("hard", "reversed", "nonnegative"))
+def test_exact_and_sign_bit_tests_agree(values):
+    fn = ArithmeticFunction(values)
+    assert _first_negative(fn) == fn.first_negative_index()

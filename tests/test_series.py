@@ -332,3 +332,29 @@ class TestLogSeries:
         built = MangoldtSequence(pattern, N)
         for n in range(2, N + 1):
             assert lam[n] == built[n]
+
+
+# -- one half-plane rule (series._require_domain) -----------------------------
+
+HALF_PLANE_ENTRY_POINTS = {
+    "evaluate_series": lambda a, sigma: evaluate_series(a, EvalPoint(sigma, 1.0)),
+    "evaluate_cf": lambda a, sigma: evaluate_cf(a, sigma, 1.0),
+    "build_distribution": lambda a, sigma: build_distribution(a, sigma, 1e-3),
+    "count_zeros": lambda a, sigma: count_zeros(a, Rectangle(sigma, sigma + 1.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HALF_PLANE_ENTRY_POINTS))
+@pytest.mark.parametrize("sigma", (1.0, 1.25))
+def test_half_plane_rule_at_every_entry_point(entry, sigma):
+    # dk:2 carries eps = 0.25: sigma = 1 and sigma = 1 + eps both lie outside
+    dk2 = gen("dk:2", 64)
+    assert dk2.growth.eps == 0.25
+    with pytest.raises(OutOfDomainError):
+        HALF_PLANE_ENTRY_POINTS[entry](dk2, sigma)
+
+
+def test_half_plane_rule_without_certificate():
+    bare = ArithmeticFunction([1, 1, 1])
+    with pytest.raises(OutOfDomainError):
+        evaluate_cf(bare, 1.0, 1.0)

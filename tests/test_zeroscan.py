@@ -1,5 +1,6 @@
 """Zero counting: the engineered zero with a closed-form location, zero-free
 windows, additivity under splits, and abscissa bracketing."""
+import dataclasses
 import math
 
 import pytest
@@ -213,3 +214,66 @@ class TestSigma0:
             assert not est.degenerate
             lo, hi = est.bracket
             assert lo <= 2.0 <= hi
+
+
+class TestSigma0Nudges:
+    """A count whose contour lands too close to a zero is redone with its
+    left edge nudged; the bracket and the certificate must then name the
+    edge that was counted, not the one that was asked for."""
+
+    @staticmethod
+    def _patch(monkeypatch, too_close):
+        from zetadist import zeroscan
+
+        real, counted = zeroscan.count_zeros, []
+
+        def count(a, rect, N=None):
+            rep = real(a, rect, N=N)
+            if too_close(rect.sigma_min):
+                return dataclasses.replace(rep, status="contour-too-close")
+            if rep.certified:
+                counted.append(rect.sigma_min)
+            return rep
+
+        monkeypatch.setattr(zeroscan, "count_zeros", count)
+        return counted
+
+    def test_bisection_nudge_across_the_zero_line(self, engineered, monkeypatch):
+        # the first midpoint sits just right of sigma = 2; its nudge moves the
+        # edge left across the zeros, so that strip has winding 2
+        sigma_lo, sigma_hi = 1.5004, 2.5
+        mid = 0.5 * (sigma_lo + sigma_hi)
+        counted = self._patch(monkeypatch, lambda s: s == mid)
+        est = estimate_sigma0(engineered, T=10.0, sigma_hi=sigma_hi, tol=1e-3, sigma_lo=sigma_lo)
+        lo, hi = est.bracket
+        assert mid not in counted and {est.sigma_lo, lo, hi} <= set(counted)
+        assert lo < 2.0 < hi and hi - lo <= 1e-3
+        assert f"strip [{lo:.9g}, " in est.certificate
+        assert f"zero-free on [{hi:.9g}, " in est.certificate
+
+    def test_base_nudge_right_across_the_zero_line(self, engineered, monkeypatch):
+        # every count left of sigma = 2 is too close, so the base count is
+        # nudged right across the zeros and certifies a narrower strip
+        # zero-free than the one asked for
+        counted = self._patch(monkeypatch, lambda s: s < 2.0)
+        est = estimate_sigma0(engineered, T=10.0, sigma_hi=2.5, tol=1e-3, sigma_lo=1.99975)
+        assert est.degenerate
+        assert est.sigma_lo > 2.0 and est.sigma_lo in counted
+        assert est.bracket == (est.sigma_lo, est.sigma_lo)
+        assert f"zero-free on [{est.sigma_lo:.6g}, " in est.certificate
+
+    def test_nudges_stay_in_the_certified_half_plane(self, monkeypatch):
+        # a count that never certifies: the nudged left edges must stay
+        # above 1 + eps (dk:2 carries eps = 0.25), never step out of it
+        from zetadist import ContourError, zeroscan
+
+        real, asked = zeroscan.count_zeros, []
+
+        def count(a, rect, N=None):
+            asked.append(rect.sigma_min)
+            return dataclasses.replace(real(a, rect, N=16), status="contour-too-close")
+
+        monkeypatch.setattr(zeroscan, "count_zeros", count)
+        with pytest.raises(ContourError):
+            estimate_sigma0(gen("dk:2", 64), T=1.0, sigma_hi=3.0, tol=1e-3, sigma_lo=1.2505)
+        assert len(asked) >= 2 and all(1.25 < s < 3.0 for s in asked)
