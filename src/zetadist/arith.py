@@ -490,30 +490,25 @@ def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
     return ArithmeticFunction(inv[1:], name=f"({a.name})^-1")
 
 
-def log_twist(a: ArithmeticFunction) -> list[LogLinear]:
-    """The sequence a(n) * log n as exact LogLinear values, indexed 1..N.
+def _prime_exponents(n: int, spf: list[int]) -> Iterator[tuple[int, int]]:
+    """(p, e) for each p^e exactly dividing n, smallest p first, off a sieve."""
+    while n > 1:
+        p, e = spf[n], 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        yield p, e
 
-    Entry 1 is zero (log 1 = 0); log n is expanded over the prime
-    factorization via a smallest-factor sieve.
-    """
-    N = len(a)
-    spf = smallest_factor_sieve(N)
-    out: list[LogLinear] = [_ZERO_LOGLINEAR] * (N + 1)
-    for n in range(2, N + 1):
-        c = a.coeffs[n - 1]
-        if c == 0:
-            continue
-        m = n
-        terms: dict[int, Fraction] = {}
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            terms[p] = c * e
-        out[n] = LogLinear._raw(tuple(sorted(terms.items())))
-    return out[1:]
+
+def log_twist(a: ArithmeticFunction) -> list[LogLinear]:
+    """The sequence a(n) * log n as exact LogLinear values, indexed 1..N (entry
+    1 is zero), log n expanded over the prime factorization of n."""
+    spf = smallest_factor_sieve(len(a))
+    out: list[LogLinear] = [_ZERO_LOGLINEAR] * len(a)
+    for n, c in enumerate(a.coeffs[1:], 2):
+        if c:
+            out[n - 1] = LogLinear._raw(tuple((p, c * e) for p, e in _prime_exponents(n, spf)))
+    return out
 
 
 class MangoldtSequence:
@@ -598,32 +593,36 @@ class MangoldtSequence:
 
 
 def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
-    """A(n) = ((a log) * a^{-1})(n), exact, for 2 <= n <= len(a).
+    """A(n) for 2 <= n <= len(a), exact: the solution of A * a = a log.
 
     A function marked ``multiplicative`` takes the prime-power route; every
-    other function takes the dense route, two convolutions over all of 1..N.
-    Both give the same table.
+    other one the dense route, one forward elimination over n = 2..N that
+    pushes each A(n) a(m) onto the pending sum of n m and frees that sum once
+    consumed.  Both give the same table.
     """
     if a.multiplicative:
         return _mangoldt_prime_powers(a)
-    N = len(a)
-    inv = dirichlet_inverse(a)  # raises NonInvertibleError when a(1) = 0
-    twist = log_twist(a)
-    acc: dict[int, dict[int, Fraction]] = {}
-    inv_nz = _nonzero_indices(inv.coeffs)
-    twist_nz = [m for m in range(2, N + 1) if not twist[m - 1].is_zero()]
-    for d in inv_nz:
-        v = inv.coeffs[d - 1]
-        limit = N // d
-        for m in twist_nz[: bisect_right(twist_nz, limit)]:
-            target = acc.setdefault(d * m, {})
-            for p, c in twist[m - 1]._terms:
-                cur = target.get(p, _ZERO) + v * c
-                if cur == 0:
-                    target.pop(p, None)
-                else:
-                    target[p] = cur
-    nonzero = ((n, LogLinear._raw(tuple(sorted(t.items())))) for n, t in acc.items() if t)
+    N, coeffs = len(a), a.coeffs
+    if coeffs[0] == 0:
+        raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
+    minus_inv_a1 = -1 / coeffs[0]
+    spf = smallest_factor_sieve(N)
+    anz = [m for m in _nonzero_indices(coeffs) if m >= 2]
+    pending: dict[int, dict[int, Fraction]] = {}  # n -> sum_{1<d<n, d|n} A(d) a(n/d)
+    nonzero: list[tuple[int, LogLinear]] = []
+    for n in range(2, N + 1):
+        acc = pending.pop(n, {})
+        if c := coeffs[n - 1]:
+            for p, e in _prime_exponents(n, spf):
+                acc[p] = acc.get(p, _ZERO) - c * e
+        terms = tuple((p, v * minus_inv_a1) for p, v in sorted(acc.items()) if v)
+        if not terms:
+            continue
+        nonzero.append((n, LogLinear._raw(terms)))
+        for m in anz[: bisect_right(anz, N // n)]:
+            target = pending.setdefault(n * m, {})
+            for p, v in terms:
+                target[p] = target.get(p, _ZERO) + v * coeffs[m - 1]
     return MangoldtSequence._built(nonzero, N, a, "dense")
 
 

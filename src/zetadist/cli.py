@@ -12,6 +12,7 @@ Errors are emitted as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -68,20 +69,26 @@ class RunManifest:
 
 def _resolve_function(text: str, length: int) -> tuple[ArithmeticFunction, str]:
     """Generator spec or a JSON file path; returns (function, source label).
-    ``length`` sizes generators only: a JSON file is used at its own length."""
+    Text that parses as a spec is a generator even when a file of that name
+    exists (``./ones`` names the file).  ``length`` sizes generators only: a
+    JSON file is used at its own length."""
     path = Path(text)
-    if path.suffix == ".json" or path.exists():
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise IOError(f"cannot read {text}: {exc}") from exc
-        try:
-            fn = ArithmeticFunction.from_json(raw.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise DomainError(f"malformed function file {text}: {exc}") from exc
-        return fn, f"file:{text}:sha256:{hashlib.sha256(raw).hexdigest()}"
-    spec = parse_spec(text, length)
-    return generate(spec), f"gen:{spec.cli_name()}:N={length}"
+    try:
+        spec = parse_spec(text, length)
+    except DomainError:
+        if path.suffix != ".json" and not path.exists():
+            raise
+    else:
+        return generate(spec), f"gen:{spec.cli_name()}:N={length}"
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IOError(f"cannot read {text}: {exc}") from exc
+    try:
+        fn = ArithmeticFunction.from_json(raw.decode("utf-8"))
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"malformed function file {text}: {exc}") from exc
+    return fn, f"file:{text}:sha256:{hashlib.sha256(raw).hexdigest()}"
 
 
 class Output(NamedTuple):
@@ -337,7 +344,10 @@ def cmd_paper_tables(args) -> Output:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and each build leaves reference cycles for the cyclic collector."""
     ap = argparse.ArgumentParser(
         prog="zetadist",
         description="Dirichlet-series zeta distributions: exact coefficients, "

@@ -110,8 +110,9 @@ def build_distribution(
         raise NotDistributionError("normalizer vanished; coefficients are degenerate")
     tmb = rel_tail(N, Z)
     while auto and tmb > tol and N < cap:
-        # the a(1)-based choice can land short when Z barely clears the
-        # tolerance; grow toward the cap rather than failing
+        # every weight is nonnegative, so Z >= a(1) and the a(1)-based
+        # choice never lands short; only the choice made from the
+        # normalizer at the cap can, so grow toward the cap rather than fail
         N = min(2 * N, cap)
         weights = weights_at(N)
         Z = float(weights.sum())

@@ -1,8 +1,11 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately use different algorithms from the library
-(divisor enumeration instead of sieves; the A*a = a-log recursion instead of
-convolving with the inverse) so agreement is meaningful.
+(divisor enumeration instead of sieves and pushes to multiples) so agreement
+is meaningful.  A(n) has two: ``oracle_mangoldt`` solves A * a = a-log by
+summing over the divisors of each n, where the library's dense route pushes
+each A(d) onto the multiples of d; ``oracle_mangoldt_by_inverse`` takes the
+other route, the a-log sequence convolved with the Dirichlet inverse.
 """
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetadist import ArithmeticFunction, GeneratorSpec, LogLinear, generate
+from zetadist import ArithmeticFunction, GeneratorSpec, LogLinear, dirichlet_inverse, generate
+from zetadist.arith import log_twist
 
 # Reference constants, frozen from high-precision evaluation and re-checked
 # against direct summation in the tests that use them.
@@ -59,7 +63,8 @@ def oracle_mangoldt(a: list[Fraction]) -> dict[int, LogLinear]:
     """A(n) from the identity A * a = a-log, i.e.
     A(n) = (a(n) log n - sum_{1<d<n, d|n} A(d) a(n/d)) / a(1).
 
-    Independent of the library's route (a-log convolved with the inverse).
+    The library's dense route solves the same system by pushing each A(d)
+    onto the multiples of d instead.
     """
     N = len(a)
     A: dict[int, LogLinear] = {}
@@ -69,6 +74,21 @@ def oracle_mangoldt(a: list[Fraction]) -> dict[int, LogLinear]:
             if 1 < d < n:
                 acc = acc - A[d].scale(a[n // d - 1])
         A[n] = acc.scale(1 / a[0])
+    return A
+
+
+def oracle_mangoldt_by_inverse(a: list[Fraction]) -> dict[int, LogLinear]:
+    """A = (a-log) * a^-1: the library's ``log_twist`` convolved with its
+    ``dirichlet_inverse`` by divisor enumeration."""
+    fn = ArithmeticFunction(a)
+    inv = dirichlet_inverse(fn).coeffs
+    twist = log_twist(fn)
+    A: dict[int, LogLinear] = {}
+    for n in range(2, len(a) + 1):
+        acc = LogLinear()
+        for d in divisors(n)[1:]:  # the a-log sequence vanishes at 1
+            acc = acc + twist[d - 1].scale(inv[n // d - 1])
+        A[n] = acc
     return A
 
 

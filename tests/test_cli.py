@@ -347,3 +347,46 @@ def test_paper_tables_mismatch_exits_1(monkeypatch, capsys):
     rc, out = run_in_process(["paper-tables", "--max", "8"], capsys)
     assert rc == 1
     assert out.splitlines()[-1].startswith("summary: ") and "MISMATCH" in out
+
+
+def test_spec_is_not_shadowed_by_a_path(tmp_path, monkeypatch, capsys):
+    # a file or directory named like a generator spec must not shadow it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ones").mkdir()
+    (tmp_path / "ezstar").write_text("")
+    rc, out = run_in_process(["gen", "--gen", "ones", "--max", "4"], capsys)
+    assert rc == 0 and json.loads(out)["name"] == "ones"
+    rc, out = run_in_process(["acoeffs", "--gen", "ezstar", "--max", "4"], capsys)
+    assert rc == 0 and out.splitlines()[3].startswith("4,(7/4)*log(2),")
+    # a path spelled as one still names the path: a directory cannot be read,
+    # an empty file is malformed
+    assert run_in_process(["gen", "--gen", "./ones", "--max", "4"], capsys)[0] == 3
+    assert run_in_process(["acoeffs", "--gen", "./ezstar", "--max", "4"], capsys)[0] == 1
+    # text that is neither a spec nor a path is a bad spec
+    assert cli.main(["gen", "--gen", "ezstr", "--max", "4"]) == 1
+    assert "bad generator spec 'ezstr'" in capsys.readouterr().err
+
+
+def test_json_file_named_like_a_spec(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ones").write_text(ArithmeticFunction([1, 0, 5], name="mine").to_json())
+    (tmp_path / "mine.json").write_text(ArithmeticFunction([1, 0, 5], name="mine").to_json())
+    for text in ("./ones", "mine.json"):
+        rc, out = run_in_process(["gen", "--gen", text, "--max", "8"], capsys)
+        assert rc == 0 and json.loads(out)["coeffs"] == [["1", "1"], ["0", "1"], ["5", "1"]], text
+    rc, out = run_in_process(["gen", "--gen", "ones", "--max", "8"], capsys)
+    assert rc == 0 and json.loads(out)["name"] == "ones" and len(json.loads(out)["coeffs"]) == 8
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    import gc
+
+    argv = ["gen", "--gen", "ones", "--max", "4"]
+    run_in_process(argv, capsys)
+    gc.collect()
+    run_in_process(argv, capsys)
+    assert gc.collect() == 0

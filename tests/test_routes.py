@@ -1,16 +1,16 @@
 """The two A(n) routes: the prime-power route of multiplicative functions
-against the dense route and the independent recursion oracle, which
-functions take which route, and the sparse Dirichlet inverse."""
+against the dense route, both against the two oracles, which functions take
+which route, and the sparse Dirichlet inverse."""
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetadist import dirichlet_inverse, identity_function, von_mangoldt
+from zetadist import arith, dirichlet_inverse, identity_function, von_mangoldt
 from zetadist.arith import ArithmeticFunction, LogLinear, MangoldtSequence, factorize
 
-from conftest import gen, oracle_convolve, oracle_inverse, oracle_mangoldt
+from conftest import gen, oracle_convolve, oracle_inverse, oracle_mangoldt, oracle_mangoldt_by_inverse
 
 MARKED = ("ones", "pow:-1", "pow:-2", "dk:2", "dk:3", "dk:4", "absmu",
           "oneplusq:2", "oneplusq:4:3", "oneplusq:9")
@@ -147,3 +147,47 @@ def test_sparse_inverse_matches_oracle():
         inv = dirichlet_inverse(fn)
         assert list(inv.coeffs) == oracle_inverse(list(fn.coeffs))
         assert oracle_convolve(list(inv.coeffs), list(fn.coeffs)) == list(identity_function(len(fn)).coeffs)
+
+
+@st.composite
+def unmarked_functions(draw):
+    """Functions without a mark, so they take the dense route: signed
+    rationals with zeros, on every index or only on multiples of a stride,
+    and a(1) of either sign and not 1."""
+    N = draw(st.integers(min_value=1, max_value=120))
+    stride = draw(st.integers(min_value=1, max_value=6))
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6))
+    rest = draw(st.lists(entries, min_size=N - 1, max_size=N - 1))
+    a1 = draw(st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8)
+              .filter(lambda x: x not in (0, 1)))
+    return ArithmeticFunction([a1] + [c if n % stride == 0 else 0 for n, c in enumerate(rest, 2)])
+
+
+@given(unmarked_functions())
+@settings(max_examples=60, deadline=None)
+def test_random_unmarked_equals_both_oracles(fn):
+    lam = von_mangoldt(fn)
+    assert lam.route == "dense"
+    N = len(fn)
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), N)
+    assert_same_table(lam, oracle_mangoldt_by_inverse(list(fn.coeffs)), N)
+
+
+def test_dense_route_builds_neither_inverse_nor_twist(monkeypatch):
+    fn = gen("ezstar", 64)
+
+    def refuse(a):
+        raise AssertionError("the dense route solves A * a = a log in one pass")
+
+    monkeypatch.setattr(arith, "dirichlet_inverse", refuse)
+    monkeypatch.setattr(arith, "log_twist", refuse)
+    lam = von_mangoldt(fn)
+    assert lam.route == "dense"
+    assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), 64)
+
+
+def test_ezstar_at_depth_equals_inverse_oracle():
+    fn = gen("ezstar", 4096)
+    assert dict(von_mangoldt(fn).nonzeros()) == {
+        n: v for n, v in oracle_mangoldt_by_inverse(list(fn.coeffs)).items() if v}
