@@ -63,7 +63,6 @@ def build_distribution(
     a: ArithmeticFunction,
     sigma: float,
     tol: float,
-    N: Optional[int] = None,
 ) -> ZetaDistribution:
     """Choose a truncation with relative tail mass <= tol and build the PMF.
 
@@ -87,29 +86,25 @@ def build_distribution(
     def choose_n(z_ref: float) -> Optional[int]:
         return smallest_n(lambda n: rel_tail(n, z_ref) <= tol, 1, cap)
 
-    auto = N is None
-    if auto:
-        # a(1) is a sound normalizer lower bound; when the margin is that
-        # thin, the actual normalizer at the cap decides feasibility
-        N = choose_n(float(a.coeffs[0]))
+    # a(1) is a sound normalizer lower bound; when the margin is that
+    # thin, the actual normalizer at the cap decides feasibility
+    N = choose_n(float(a.coeffs[0]))
+    if N is None:
+        z_cap = float(weights_at(cap).sum())
+        if z_cap > 0.0:
+            N = choose_n(z_cap)
         if N is None:
-            z_cap = float(weights_at(cap).sum())
-            if z_cap > 0.0:
-                N = choose_n(z_cap)
-            if N is None:
-                raise ResourceLimitError(
-                    f"tail mass {rel_tail(cap, max(z_cap, 1e-300)):.3g} at the cap "
-                    f"N={cap} exceeds tol={tol}"
-                )
-    else:
-        N = min(N, cap)
+            raise ResourceLimitError(
+                f"tail mass {rel_tail(cap, max(z_cap, 1e-300)):.3g} at the cap "
+                f"N={cap} exceeds tol={tol}"
+            )
 
     weights = weights_at(N)
     Z = float(weights.sum())
     if not Z > 0.0:
         raise NotDistributionError("normalizer vanished; coefficients are degenerate")
     tmb = rel_tail(N, Z)
-    while auto and tmb > tol and N < cap:
+    while tmb > tol and N < cap:
         # every weight is nonnegative, so Z >= a(1) and the a(1)-based
         # choice never lands short; only the choice made from the
         # normalizer at the cap can, so grow toward the cap rather than fail

@@ -100,8 +100,9 @@ def parse_spec(text: str, length: int) -> GeneratorSpec:
     raise DomainError(f"bad generator spec {text!r}")
 
 
-def divisor_growth_constant(k: int, eps: float = DIVISOR_GROWTH_EPS) -> float:
-    """Smallest C (up to the enumeration grid) with d_k(n) <= C n^eps for all n.
+def divisor_growth_constant(k: int) -> float:
+    """Smallest C (up to the enumeration grid) with d_k(n) <= C n^eps for all
+    n, where eps = DIVISOR_GROWTH_EPS.
 
     d_k is multiplicative with d_k(p^e) = C(e+k-1, k-1).  A prime factor
     contributes max_e C(e+k-1,k-1)/p^(e*eps), which is 1 once
@@ -110,6 +111,7 @@ def divisor_growth_constant(k: int, eps: float = DIVISOR_GROWTH_EPS) -> float:
     ratio in e is monotone decreasing, so each per-prime max is found by
     scanning to the peak.
     """
+    eps = DIVISOR_GROWTH_EPS
     bound = 2 ** ((k - 1) / eps)
     if bound > (1 << 22):
         raise ResourceLimitError(

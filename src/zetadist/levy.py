@@ -59,14 +59,14 @@ def quasi_levy_measure(lam: MangoldtSequence, sigma: float) -> QuasiLevyMeasure:
     ns, vals = lam.float_arrays()
     nf = ns.astype(np.float64)
     logn = np.log(nf)
-    masses = vals / (np.exp(sigma * logn) * logn) if ns.size else vals
+    masses = vals / (np.exp(sigma * logn) * logn)
     return QuasiLevyMeasure(
         ns=ns,
         positions=-logn,
         masses=masses,
         sigma=sigma,
         N=lam.N,
-        tv_partial=float(np.abs(masses).sum()) if ns.size else 0.0,
+        tv_partial=float(np.abs(masses).sum()),
     )
 
 
@@ -79,8 +79,6 @@ def compound_poisson_cf(m: QuasiLevyMeasure, t: float, a1: Fraction) -> complex:
     """
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive")
-    if m.ns.size == 0:
-        return 1.0 + 0.0j
     phase = np.exp(1j * t * m.positions) - 1.0
     return complex(np.exp((m.masses * phase).sum()))
 
@@ -115,12 +113,11 @@ def observed_decay_abscissa(lam: MangoldtSequence) -> Optional[float]:
     If S_k = sum over 2^k <= n < 2^{k+1} of |A(n)/log n| grows like 2^{k theta},
     the series sum |A(n)/log n| n^{-sigma} converges for sigma > theta; the
     least-squares slope of log2 S_k is returned as that empirical theta.
-    Purely observational (no certificate); None when fewer than four nonempty
-    blocks exist.
+    Purely observational (no certificate), so no verdict uses it; it stays
+    public while the benchmark tracer wraps it.  None when fewer than four
+    nonempty blocks exist.
     """
     ns, vals = lam.float_arrays()
-    if ns.size == 0:
-        return None
     logn = np.log(ns.astype(np.float64))
     weights = np.abs(vals) / logn
     ks = np.floor(np.log2(ns.astype(np.float64))).astype(np.int64)
@@ -153,7 +150,6 @@ class Classification:
     certified_strip: Optional[tuple[float, float]]
     notes: str
     consequences: tuple[str, ...]
-    observed_abscissa: Optional[float] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -165,7 +161,6 @@ class Classification:
             "certified_strip": list(self.certified_strip) if self.certified_strip else None,
             "notes": self.notes,
             "consequences": list(self.consequences),
-            "observed_abscissa": self.observed_abscissa,
         }
 
 
@@ -192,79 +187,49 @@ def classify(
     """
     _check_assumption(a)
     witness = lam.first_negative()
-    scan_depth = lam.N
-    observed = observed_decay_abscissa(lam)
     try:
         est: Sigma0Estimate = estimate_sigma0(a, T, sigma_hi, tol, sigma_lo=sigma_lo, N=N)
     except ContourError as exc:
         return Classification(
-            verdict=VERDICT_INCONCLUSIVE,
-            negative_witness=witness,
-            sigma0_bracket=None,
-            height=T,
-            scan_depth=scan_depth,
-            certified_strip=None,
-            notes=f"zero scan failed on every attempted contour: {exc}",
-            consequences=(),
-            observed_abscissa=observed,
+            verdict=VERDICT_INCONCLUSIVE, negative_witness=witness, sigma0_bracket=None,
+            height=T, scan_depth=lam.N, certified_strip=None,
+            notes=f"zero scan failed on every attempted contour: {exc}", consequences=(),
         )
 
+    bracket = None
     if not est.degenerate:
-        lo, hi = est.bracket
+        verdict, bracket = VERDICT_ZERO_LINE, est.bracket
+        lo, hi = bracket
+        notes = f"certified zero in the strip; {est.certificate}"
         cons = (
             f"not infinitely divisible but pretended infinitely divisible for sigma > {hi:.6g}",
             f"quasi infinitely divisible with finite quasi-Levy measure for sigma > {hi + 1.0:.6g}",
             f"not pretended infinitely divisible on the zero line (abscissa in [{lo:.9g}, {hi:.9g}])",
         )
-        return Classification(
-            verdict=VERDICT_ZERO_LINE,
-            negative_witness=witness,
-            sigma0_bracket=est.bracket,
-            height=T,
-            scan_depth=scan_depth,
-            certified_strip=(est.sigma_lo, est.sigma_hi),
-            notes=f"certified zero in the strip; {est.certificate}",
-            consequences=cons,
-            observed_abscissa=observed,
-        )
-
-    strip = (est.sigma_lo, est.sigma_hi)
-    if witness is not None:
+    elif witness is not None:
+        verdict = VERDICT_QUASI_ID
+        notes = f"A({witness}) < 0 (exact); {est.certificate}"
         cons = (
-            f"zero-free certificate holds on [{strip[0]:.6g}, {strip[1]:.6g}] x [-{T:g}, {T:g}] only",
+            f"zero-free certificate holds on [{est.sigma_lo:.6g}, {est.sigma_hi:.6g}] x [-{T:g}, {T:g}] only",
             "not infinitely divisible but pretended infinitely divisible for sigma > 1 "
             "(conditional on zero-freeness beyond the certified strip)",
             "quasi infinitely divisible with finite quasi-Levy measure for sigma > 2",
         )
-        return Classification(
-            verdict=VERDICT_QUASI_ID,
-            negative_witness=witness,
-            sigma0_bracket=None,
-            height=T,
-            scan_depth=scan_depth,
-            certified_strip=strip,
-            notes=f"A({witness}) < 0 (exact); {est.certificate}",
-            consequences=cons,
-            observed_abscissa=observed,
-        )
-    cons = (
-        f"no negative A(n) up to N={scan_depth} (not a proof for all n)",
-        "compound Poisson characteristic function with finite nonnegative Levy measure "
-        "for all sigma > 1 (if the sign pattern persists)",
-    )
-    return Classification(
-        verdict=VERDICT_COMPOUND_POISSON,
-        negative_witness=None,
-        sigma0_bracket=None,
-        height=T,
-        scan_depth=scan_depth,
-        certified_strip=strip,
-        notes=(
-            f"all A(n) >= 0 for 2 <= n <= {scan_depth} (exact signs); {est.certificate}. "
+    else:
+        verdict = VERDICT_COMPOUND_POISSON
+        notes = (
+            f"all A(n) >= 0 for 2 <= n <= {lam.N} (exact signs); {est.certificate}. "
             "The nonnegative case is stated here with >= 0: zero values occur "
             "(e.g. A(6) = 0 for the all-ones series) and do not obstruct the "
             "compound-Poisson form."
-        ),
-        consequences=cons,
-        observed_abscissa=observed,
+        )
+        cons = (
+            f"no negative A(n) up to N={lam.N} (not a proof for all n)",
+            "compound Poisson characteristic function with finite nonnegative Levy measure "
+            "for all sigma > 1 (if the sign pattern persists)",
+        )
+    return Classification(
+        verdict=verdict, negative_witness=witness, sigma0_bracket=bracket,
+        height=T, scan_depth=lam.N, certified_strip=(est.sigma_lo, est.sigma_hi),
+        notes=notes, consequences=cons,
     )

@@ -85,16 +85,16 @@ def tail_bound(C: float, eps: float, sigma: float, N: int) -> float:
     return C * (N ** (1.0 + eps - sigma) / (sigma - eps - 1.0) + N ** (eps - sigma))
 
 
-def derivative_growth(C: float, eps: float, order: int, delta: float = DERIVATIVE_EPS_BUMP) -> tuple[float, float]:
+def derivative_growth(C: float, eps: float, order: int) -> tuple[float, float]:
     """Growth certificate for a(n) log^order(n) given one for a(n).
 
     log^k(n) <= (k/(delta e))^k * n^delta for every n >= 1 (the maximum of
-    log^k(x)/x^delta over x >= 1), so C picks up that factor and eps gains
-    delta.
+    log^k(x)/x^delta over x >= 1), so with delta = DERIVATIVE_EPS_BUMP, C
+    picks up that factor and eps gains delta.
     """
     if order == 0:
         return C, eps
-    return C * (order / (delta * math.e)) ** order, eps + delta
+    return C * (order / (DERIVATIVE_EPS_BUMP * math.e)) ** order, eps + DERIVATIVE_EPS_BUMP
 
 
 def _tail_for(a: ArithmeticFunction, sigma: float, N: int, order: int) -> float:
@@ -248,7 +248,6 @@ def evaluate_cf(
     sigma: float,
     t: float,
     N: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> complex:
     """The normalized value Z(sigma+it)/Z(sigma), both at the same truncation.
 
@@ -263,7 +262,7 @@ def evaluate_cf(
             NotCharacteristicWarning,
             stacklevel=2,
         )
-    N_used = _resolve_n(a, sigma, N, tol, 0)
+    N_used = _resolve_n(a, sigma, N, None, 0)
     num, den = map(complex, evaluate_series_batch(a, [complex(sigma, t), sigma], 0, N_used)[0])
     if den == 0:
         raise DomainError("normalizer Z(sigma) vanished at this truncation")

@@ -48,6 +48,7 @@ _MAX_PIECES = 64
 _MAX_EVALS = 1 << 16
 _MIN_STEP = 1e-12
 _UNIT_ROUNDOFF = 2.0 ** -53
+_NUDGE_ATTEMPTS = 5    # left edges _certified_count tries per strip
 
 
 @dataclass(frozen=True)
@@ -265,13 +266,13 @@ class Sigma0Estimate:
     N_used: int
 
 
-def _certified_count(a, sigma, sigma_hi, T, N, lo, hi, attempts=5) -> ZeroScanReport:
+def _certified_count(a, sigma, sigma_hi, T, N, lo, hi) -> ZeroScanReport:
     """count_zeros on the strip [sigma, sigma_hi] x [-T, T], nudging the left
     edge when the contour lands too close to a zero.  The nudged edge stays
     inside (lo, hi) and moves at most a quarter of that interval, so callers
     read the edge counted from ``rectangle.sigma_min``, never from ``sigma``."""
     unit = min((sigma_hi - sigma) * 1e-3, (hi - lo) / 8)
-    for k in range(attempts):
+    for k in range(_NUDGE_ATTEMPTS):
         s = sigma + ((-1) ** k) * (k // 2 + 1) * unit if k else sigma
         if not lo < s < hi:
             continue
@@ -280,7 +281,7 @@ def _certified_count(a, sigma, sigma_hi, T, N, lo, hi, attempts=5) -> ZeroScanRe
             return rep
     raise ContourError(
         f"could not certify a zero count on [{sigma}, {sigma_hi}] x [-{T}, {T}] "
-        f"after {attempts} perturbations"
+        f"after {_NUDGE_ATTEMPTS} perturbations"
     )
 
 
@@ -302,6 +303,8 @@ def estimate_sigma0(
     """
     if T <= 0:
         raise DomainError("height T must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol={tol} must be positive")
     if a.growth is None:
         raise DomainError("zero scanning needs a growth certificate")
     eps = a.growth.eps

@@ -292,7 +292,8 @@ def test_threads_flag_sampling():
 # sha256 (first 16 hex digits) of each subcommand's stdout, read before the
 # subcommands returned their rows to main.  Floats are compared at 12
 # significant digits: float outputs are reproducible bit for bit only on the
-# same binary.
+# same binary.  The classify digest is of that output with its uncertified
+# "observed_abscissa" key removed.
 STDOUT_DIGESTS = {
     "gen": "0b1dc305d2ad34c6",
     "convolve": "d99b3082e71aa099",
@@ -306,7 +307,7 @@ STDOUT_DIGESTS = {
     "moments": "1776152291207f05",
     "sample": "64d3ffec884fefb7",
     "levy": "e547136f96a57a20",
-    "classify": "d975f5f5a3e7a2a9",
+    "classify": "a43210c61e8cf915",
     "paper-tables": "c89a3c89e37be588",
 }
 FLOAT_LITERAL = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
@@ -338,6 +339,14 @@ def test_json_input_is_used_at_its_own_length(tmp_path, capsys):
         assert run_in_process(["--out", str(outdir), *argv], capsys)[0] == 0, argv[0]
         assert manifest_of(outdir / filename)["N"] == 8, argv[0]
     assert len(json.loads((tmp_path / "run0" / "function.json").read_text())["coeffs"]) == 8
+
+
+def test_sigma0_rejects_nonpositive_tol(capsys):
+    rc = cli.main(["sigma0", "--gen", "oneplusq:2:4", "--height", "10", "--sigma-hi", "4",
+                   "--max", "16", "--tol", "0"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1
+    assert err["error"] == "DomainError" and err["message"].startswith("tol=")
 
 
 def test_paper_tables_mismatch_exits_1(monkeypatch, capsys):

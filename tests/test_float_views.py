@@ -165,7 +165,7 @@ def test_nonnegative_coefficients_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", NotCharacteristicWarning)
         evaluate_cf(fn, 2.0, 1.0)
-    assert build_distribution(fn, 2.0, 1e-3, N=4).N == 4
+    assert build_distribution(fn, 2.0, 1e-3).N == 4
 
 
 # -- the exact sign test (first_negative_index) -------------------------------

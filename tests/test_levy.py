@@ -7,15 +7,19 @@ import pytest
 
 from zetadist import (
     CharacteristicCheck,
+    ContourError,
+    DomainError,
     HypothesisViolationError,
     classify,
     compound_poisson_cf,
     evaluate_cf,
+    observed_decay_abscissa,
     quasi_levy_measure,
     validate_characteristic,
     von_mangoldt,
 )
-from zetadist.arith import ArithmeticFunction, GrowthBound, LogLinear
+from zetadist import levy
+from zetadist.arith import ArithmeticFunction, GrowthBound, LogLinear, MangoldtSequence, identity_function
 
 from conftest import gen
 
@@ -49,6 +53,17 @@ class TestQuasiLevyMeasure:
         )
         assert list(m.ns) == want
         assert np.all(np.diff(m.positions) < 0.0)  # strictly decreasing in n
+
+    @pytest.mark.parametrize("lam", [MangoldtSequence({}, 8), von_mangoldt(identity_function(16))],
+                             ids=["empty", "identity"])
+    def test_no_atoms(self, lam):
+        # numpy's empty reductions give the empty measure's values directly
+        m = quasi_levy_measure(lam, 2.0)
+        assert m.atom_count() == 0
+        assert m.tv_partial == 0.0
+        cf = compound_poisson_cf(m, 1.5, Fraction(1))
+        assert type(cf) is complex and cf == 1 + 0j
+        assert observed_decay_abscissa(lam) is None
 
     def test_tv_decreasing_in_sigma(self):
         lam = von_mangoldt(gen("ezstar", 256))
@@ -174,6 +189,19 @@ class TestClassify:
         assert r1.verdict == r2.verdict == "case2_1"
         assert r1.negative_witness == r2.negative_witness
 
+    def test_inconclusive_when_no_contour_certifies(self, monkeypatch):
+        res = _classify_case("inconclusive", monkeypatch)
+        assert res.verdict == "inconclusive"
+        assert res.negative_witness == 4
+        assert res.sigma0_bracket is None and res.certified_strip is None
+        assert res.consequences == ()
+        assert res.notes.startswith("zero scan failed on every attempted contour: ")
+
+    def test_nonpositive_tol_is_a_domain_error(self):
+        fn = gen("oneplusq:2:4", 16)
+        with pytest.raises(DomainError, match=r"^tol=0.0 must be positive$"):
+            classify(fn, von_mangoldt(fn), T=10.0, sigma_hi=4.0, tol=0.0)
+
     def test_case2_2_notes_mention_zero_values(self):
         fn = gen("ones", 300000)
         lam = von_mangoldt(gen("ones", 512))
@@ -185,27 +213,120 @@ class TestObservedAbscissa:
     def test_all_ones_near_one(self):
         # block sums of Lambda(n)/log n grow like 2^k (prime counting), so
         # the empirical convergence abscissa of the log series sits near 1
-        from zetadist import observed_decay_abscissa
-
         theta = observed_decay_abscissa(von_mangoldt(gen("ones", 1 << 14)))
         assert theta is not None
         assert 0.7 < theta < 1.2
 
     def test_engineered_near_two(self):
         # |A(2^r)/log 2^r| = 4^r/r, so blocks grow like 4^k = 2^{2k}
-        from zetadist import observed_decay_abscissa
-
         theta = observed_decay_abscissa(von_mangoldt(gen("oneplusq:2:4", 1 << 14)))
         assert theta is not None
         assert 1.6 < theta < 2.2
 
-    def test_classify_carries_it(self):
-        fn = gen("oneplusq:2:4", 4096)
-        res = classify(fn, von_mangoldt(fn), T=10.0, sigma_hi=4.0)
-        assert res.observed_abscissa is not None
-        assert 1.5 < res.observed_abscissa < 2.3
-
     def test_too_few_blocks_gives_none(self):
-        from zetadist import observed_decay_abscissa
-
         assert observed_decay_abscissa(von_mangoldt(gen("ones", 8))) is None
+
+
+def _fail_contour(*args, **kwargs):
+    raise ContourError("no contour certified")
+
+
+# (family, depth, T, sigma_hi); in the inconclusive case no contour certifies
+VERDICT_CASES = {
+    "case1": ("oneplusq:2:4", 4096, 10.0, 4.0),
+    "case2_1": ("oneplusq:2", 4096, 30.0, 3.0),
+    "case2_2": ("ones", 512, 10.0, 3.0),
+    "inconclusive": ("oneplusq:2", 64, 5.0, 3.0),
+}
+
+# to_json_obj() of each verdict, read before the uncertified
+# "observed_abscissa" key was removed and with that key popped
+VERDICT_JSON = {
+    "case1": {
+        "certified_strip": [1.001, 4.0],
+        "consequences": [
+            "not infinitely divisible but pretended infinitely divisible for sigma > 2.00042",
+            "quasi infinitely divisible with finite quasi-Levy measure for sigma > 3.00042",
+            "not pretended infinitely divisible on the zero line (abscissa in [1.99969043, 2.00042261])",
+        ],
+        "height_T": 10.0,
+        "negative_witness": 4,
+        "notes": "certified zero in the strip; strip [1.99969043, 4] x [-10, 10] contains a zero; "
+                 "zero-free on [2.00042261, 4] x [-10, 10] (up to height 10 only; N=4096)",
+        "scan_depth": 4096,
+        "sigma0_bracket": [1.9996904296874995, 2.0004226074218745],
+        "verdict": "case1",
+    },
+    "case2_1": {
+        "certified_strip": [1.001, 3.0],
+        "consequences": [
+            "zero-free certificate holds on [1.001, 3] x [-30, 30] only",
+            "not infinitely divisible but pretended infinitely divisible for sigma > 1 "
+            "(conditional on zero-freeness beyond the certified strip)",
+            "quasi infinitely divisible with finite quasi-Levy measure for sigma > 2",
+        ],
+        "height_T": 30.0,
+        "negative_witness": 4,
+        "notes": "A(4) < 0 (exact); zero-free on [1.001, 3] x [-30, 30] (up to height 30 only; N=4096)",
+        "scan_depth": 4096,
+        "sigma0_bracket": None,
+        "verdict": "case2_1",
+    },
+    "case2_2": {
+        "certified_strip": [2.0, 3.0],
+        "consequences": [
+            "no negative A(n) up to N=512 (not a proof for all n)",
+            "compound Poisson characteristic function with finite nonnegative Levy measure "
+            "for all sigma > 1 (if the sign pattern persists)",
+        ],
+        "height_T": 10.0,
+        "negative_witness": None,
+        "notes": "all A(n) >= 0 for 2 <= n <= 512 (exact signs); zero-free on [2, 3] x [-10, 10] "
+                 "(up to height 10 only; N=512). The nonnegative case is stated here with >= 0: "
+                 "zero values occur (e.g. A(6) = 0 for the all-ones series) and do not obstruct "
+                 "the compound-Poisson form.",
+        "scan_depth": 512,
+        "sigma0_bracket": None,
+        "verdict": "case2_2",
+    },
+    "inconclusive": {
+        "certified_strip": None,
+        "consequences": [],
+        "height_T": 5.0,
+        "negative_witness": 4,
+        "notes": "zero scan failed on every attempted contour: no contour certified",
+        "scan_depth": 64,
+        "sigma0_bracket": None,
+        "verdict": "inconclusive",
+    },
+}
+
+
+def _classify_case(verdict, monkeypatch):
+    if verdict == "inconclusive":
+        monkeypatch.setattr(levy, "estimate_sigma0", _fail_contour)
+    name, depth, T, sigma_hi = VERDICT_CASES[verdict]
+    fn = gen(name, depth)
+    return classify(fn, von_mangoldt(fn), T=T, sigma_hi=sigma_hi)
+
+
+def _at_12_digits(obj):
+    # floats at 12 significant digits, as test_cli compares stdout
+    if isinstance(obj, float):
+        return float("%.12g" % obj)
+    if isinstance(obj, list):
+        return [_at_12_digits(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _at_12_digits(v) for k, v in obj.items()}
+    return obj
+
+
+@pytest.mark.parametrize("verdict", sorted(VERDICT_CASES))
+def test_verdict_json_pinned(verdict, monkeypatch):
+    # no verdict reads the uncertified abscissa
+    def fail(lam):
+        raise AssertionError("classify read observed_decay_abscissa")
+
+    monkeypatch.setattr(levy, "observed_decay_abscissa", fail)
+    obj = _classify_case(verdict, monkeypatch).to_json_obj()
+    assert _at_12_digits(obj) == _at_12_digits(VERDICT_JSON[verdict])

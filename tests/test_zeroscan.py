@@ -206,6 +206,14 @@ class TestSigma0:
         # finite series certifies right down to the floor above 1
         assert est.sigma_lo < 1.01
 
+    @pytest.mark.parametrize("tol, sigma_lo", [(0.0, None), (-1.0, 1.5), (math.nan, None)])
+    def test_tol_must_be_positive(self, engineered, tol, sigma_lo):
+        # without the check, 0 and nan fail on sigma_lo or sigma_hi, and -1
+        # bisects down to float resolution before failing with ContourError
+        with pytest.raises(DomainError, match=r"^tol=.* must be positive$") as exc:
+            estimate_sigma0(engineered, T=10.0, sigma_hi=4.0, tol=tol, sigma_lo=sigma_lo)
+        assert exc.type is DomainError
+
     def test_taller_window_counts_more(self, engineered):
         # zeros at (2k+1) pi / log 2: heights 4.53, 13.60, 22.66 -> strip
         # windings 2, 4, 6 as T grows
