@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -18,9 +19,11 @@ from itertools import compress
 from operator import attrgetter, truediv
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import InvalidLengthError, NonInvertibleError
+from .errors import DomainError, InvalidLengthError, NonInvertibleError, ResourceLimitError
 
 Rational = Fraction
+
+DEFAULT_N_CAP = 10**7
 
 RationalLike = Union[Fraction, int, str]
 
@@ -274,6 +277,18 @@ def sign_of(x: LogLinear) -> int:
 # Arithmetical functions
 # ---------------------------------------------------------------------------
 
+def n_cap() -> int:
+    """Most coefficients a function may hold; override with the
+    ZETADIST_MAX_N env var."""
+    raw = os.environ.get("ZETADIST_MAX_N")
+    if not raw:
+        return DEFAULT_N_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"ZETADIST_MAX_N={raw!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class GrowthBound:
     """Certificate |a(n)| <= C * n^eps valid for every n >= 1."""
@@ -289,7 +304,8 @@ class GrowthBound:
 
 
 class ArithmeticFunction:
-    """Truncated arithmetical function: exact rationals a(1..N).
+    """Truncated arithmetical function: exact rationals a(1..N), with N at
+    most ``n_cap()`` (a longer input raises ResourceLimitError).
 
     ``growth`` certifies |a(n)| <= C n^eps for the *entire* (infinite)
     sequence, which is what makes truncation-tail bounds possible downstream.
@@ -318,10 +334,12 @@ class ArithmeticFunction:
         float_view=None,
     ):
         vals = tuple(coeffs)
-        if not set(map(type, vals)) <= {Fraction}:
-            vals = tuple(map(_as_fraction, vals))
         if len(vals) < 1:
             raise InvalidLengthError("need at least a(1)")
+        if len(vals) > n_cap():
+            raise ResourceLimitError(f"{len(vals)} coefficients exceed the cap {n_cap()}")
+        if not set(map(type, vals)) <= {Fraction}:
+            vals = tuple(map(_as_fraction, vals))
         if float_view is not None:
             import numpy as np
 

@@ -166,16 +166,18 @@ def cmd_eval(args) -> Output:
         lines.append(
             f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(r.value.real)},{_fmt(r.value.imag)},{_fmt(r.tail_bound)},{r.N_used}"
         )
-    return Output("eval.csv", lines, RunManifest(source, N=r.N_used, tolerances={"tol": args.tol}))
+    used = {"tol": args.tol} if args.N is None and args.tol is not None else {}
+    return Output("eval.csv", lines, RunManifest(source, N=r.N_used, tolerances=used))
 
 
 def cmd_cf(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
+    N = _resolve_n(fn, args.sigma, args.N, None, 0)
     lines = ["sigma,t,re,im"]
     for t in _t_values(args.t):
-        v = evaluate_cf(fn, args.sigma, t, N=args.N)
+        v = evaluate_cf(fn, args.sigma, t, N=N)
         lines.append(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return Output("cf.csv", lines, RunManifest(source, N=_resolve_n(fn, args.sigma, args.N, None, 0)))
+    return Output("cf.csv", lines, RunManifest(source, N=N))
 
 
 def _parse_rect(arg: str) -> Rectangle:
@@ -221,13 +223,13 @@ def cmd_moments(args) -> Output:
     if args.method == "analytic":
         lam = von_mangoldt(fn)
         mean, var = moments_analytic(lam, args.sigma)
-        n_used = lam.N
+        n_used, used = lam.N, {}
     else:
         d = build_distribution(fn, args.sigma, args.tol)
         mean, var = moments_direct(d)
-        n_used = d.N
+        n_used, used = d.N, {"tol": args.tol}
     line = json.dumps({"mean": mean, "variance": var, "method": args.method}, sort_keys=True)
-    return Output("moments.json", [line], RunManifest(source, N=n_used, tolerances={"tol": args.tol}))
+    return Output("moments.json", [line], RunManifest(source, N=n_used, tolerances=used))
 
 
 def cmd_sample(args) -> Output:
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zetadist",
         description="Dirichlet-series zeta distributions: exact coefficients, "
         "series evaluation, zero scanning, sampling and classification.",
-        epilog="Set ZETADIST_MAX_N to override the default truncation cap (10^7).",
+        epilog="A function holds at most 10^7 coefficients; set ZETADIST_MAX_N to change the cap.",
     )
     ap.add_argument("--out", help="write outputs (plus manifests) into this directory")
     ap.add_argument("--threads", type=int, default=1,

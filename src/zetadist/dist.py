@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .series import (
     _require_domain,
     _tail_for,
     derivative_growth,
-    n_cap,
     smallest_n,
     tail_bound,
 )
@@ -64,64 +62,46 @@ def build_distribution(
     sigma: float,
     tol: float,
 ) -> ZetaDistribution:
-    """Choose a truncation with relative tail mass <= tol and build the PMF.
+    """Build the PMF at the smallest truncation with relative tail mass <= tol.
 
     Needs a growth certificate (or finite support) to bound the tail; raises
-    ResourceLimitError when the tolerance is unreachable within the stored
-    coefficients and the global N cap.
+    ResourceLimitError when no truncation within the stored coefficients
+    meets the tolerance.
     """
     _check_assumption(a)
     if a.growth is None and a.support_limit is None:
         raise OutOfDomainError("needs a growth certificate or finite support to bound the tail mass")
     _require_domain(a, sigma, 0)
 
-    cap = min(len(a), n_cap())
-
-    def rel_tail(n: int, z_lower: float) -> float:
-        return _tail_for(a, sigma, n, 0) / z_lower
-
-    def weights_at(n: int) -> np.ndarray:
-        return a.float_coeffs()[:n] * np.exp(-sigma * a.log_n()[:n])
-
-    def choose_n(z_ref: float) -> Optional[int]:
-        return smallest_n(lambda n: rel_tail(n, z_ref) <= tol, 1, cap)
-
-    # a(1) is a sound normalizer lower bound; when the margin is that
-    # thin, the actual normalizer at the cap decides feasibility
-    N = choose_n(float(a.coeffs[0]))
-    if N is None:
-        z_cap = float(weights_at(cap).sum())
-        if z_cap > 0.0:
-            N = choose_n(z_cap)
+    # every weight is nonnegative, so Z_n >= a(1) for every n: an N whose
+    # tail is within tol of a(1) is sound, and it needs no weights
+    a1 = float(a.coeffs[0])
+    N = smallest_n(lambda n: _tail_for(a, sigma, n, 0) / a1 <= tol, 1, len(a)) if a1 > 0.0 else None
+    if N is not None:
+        weights = a.float_coeffs()[:N] * np.exp(-sigma * a.log_n()[:N])
+        Z = float(weights.sum())
+    else:
+        # the margin over a(1) is too thin (or a(1) underflows): test every
+        # n against its own normalizer z[n-1]; tail/z falls as n grows
+        weights = np.exp(-sigma * a.log_n())
+        weights *= a.float_coeffs()
+        z = np.cumsum(weights)
+        N = smallest_n(lambda n: z[n - 1] > 0.0 and _tail_for(a, sigma, n, 0) / z[n - 1] <= tol, 1, len(a))
         if N is None:
             raise ResourceLimitError(
-                f"tail mass {rel_tail(cap, max(z_cap, 1e-300)):.3g} at the cap "
-                f"N={cap} exceeds tol={tol}"
+                f"tail mass {_tail_for(a, sigma, len(a), 0) / max(float(z[-1]), 1e-300):.3g} "
+                f"at the stored length N={len(a)} exceeds tol={tol}"
             )
-
-    weights = weights_at(N)
-    Z = float(weights.sum())
-    if not Z > 0.0:
-        raise NotDistributionError("normalizer vanished; coefficients are degenerate")
-    tmb = rel_tail(N, Z)
-    while tmb > tol and N < cap:
-        # every weight is nonnegative, so Z >= a(1) and the a(1)-based
-        # choice never lands short; only the choice made from the
-        # normalizer at the cap can, so grow toward the cap rather than fail
-        N = min(2 * N, cap)
-        weights = weights_at(N)
-        Z = float(weights.sum())
-        tmb = rel_tail(N, Z)
-    if tmb > tol:
-        raise ResourceLimitError(f"tail mass {tmb:.3g} at N={N} exceeds tol={tol}")
-    pmf = weights / Z
+        weights, Z = weights[:N], float(z[N - 1])
+        del z  # free the running sums before the PMF is allocated
+    tail = _tail_for(a, sigma, N, 0)
     return ZetaDistribution(
         a=a,
         sigma=sigma,
-        Z_sigma=EvalResult(value=complex(Z), tail_bound=_tail_for(a, sigma, N, 0), N_used=N),
+        Z_sigma=EvalResult(value=complex(Z), tail_bound=tail, N_used=N),
         N=N,
-        tail_mass_bound=tmb,
-        pmf=pmf,
+        tail_mass_bound=tail / Z,
+        pmf=weights / Z,
     )
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Domain errors (bad inputs, out-of-domain evaluation points) and resource
-errors (truncation caps) are distinct so the CLI can map them to distinct
-exit codes.
+errors (the length cap, unreachable tolerances) are distinct so the CLI can
+map them to distinct exit codes.
 """
 
 
@@ -40,7 +40,8 @@ class HypothesisViolationError(DomainError):
 
 
 class ResourceLimitError(ZetadistError):
-    """Requested tolerance is unreachable within the truncation cap."""
+    """A length exceeds the coefficient cap, or a tolerance is unreachable
+    within the stored coefficients."""
 
 
 class ContourError(ZetadistError):

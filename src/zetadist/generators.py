@@ -18,6 +18,7 @@ from .arith import (
     GrowthBound,
     Rational,
     factorize,
+    n_cap,
     primes_up_to,
     smallest_factor_sieve,
 )
@@ -49,6 +50,8 @@ class GeneratorSpec:
             raise DomainError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise InvalidLengthError(f"invalid length {self.length}")
+        if self.length > n_cap():
+            raise ResourceLimitError(f"length {self.length} exceeds the cap {n_cap()}")
         if self.kind == "power":
             if self.alpha is None or self.alpha > 0:
                 raise DomainError("power generator needs alpha <= 0")

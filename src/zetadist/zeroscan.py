@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction
 from .errors import ContourError, DomainError, OutOfDomainError
-from .series import _require_domain, _tail_for, evaluate_series_batch, n_cap, smallest_n
+from .series import _require_domain, _tail_for, evaluate_series_batch, smallest_n
 
 STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
@@ -61,6 +61,8 @@ class Rectangle:
     t_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.sigma_min, self.sigma_max, self.t_min, self.t_max))):
+            raise DomainError(f"{self} must have finite bounds")
         if not self.sigma_min > 1.0:
             raise OutOfDomainError(f"sigma_min={self.sigma_min} must exceed 1")
         if not self.sigma_min < self.sigma_max:
@@ -187,7 +189,7 @@ def count_zeros(
     if a.growth is None:
         raise DomainError("zero scanning needs a growth certificate")
     _require_domain(a, rect.sigma_min, 0)
-    limit = min(len(a), n_cap())
+    limit = len(a)
     if N is not None:
         return _scan_once(a, rect, min(N, limit))
 
@@ -301,8 +303,8 @@ def estimate_sigma0(
     left edge.  sigma_lo defaults to the smallest of a few candidate abscissas
     at which the truncation tail is small enough to certify.
     """
-    if T <= 0:
-        raise DomainError("height T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError(f"height T={T} must be positive and finite")
     if not tol > 0:
         raise DomainError(f"tol={tol} must be positive")
     if a.growth is None:
@@ -310,12 +312,11 @@ def estimate_sigma0(
     eps = a.growth.eps
     if not sigma_hi > 1.0 + eps + tol:
         raise OutOfDomainError(f"sigma_hi={sigma_hi} must exceed 1+eps+tol")
-    limit = min(len(a), n_cap())
 
     if sigma_lo is None:
         floor = 1.0 + eps + tol
         for cand in (floor, *(1.0 + eps + d for d in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0))):
-            if cand < sigma_hi and _tail_for(a, cand, limit, 0) <= 5e-3:
+            if cand < sigma_hi and _tail_for(a, cand, len(a), 0) <= 5e-3:
                 sigma_lo = max(cand, floor)
                 break
         else:

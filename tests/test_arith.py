@@ -1,19 +1,24 @@
 """Exact-layer unit tests: convolution, inverse, log twist, the A sequence,
 signs, and serialization."""
+import json
 from fractions import Fraction
 
 import pytest
 
 from zetadist import (
     ArithmeticFunction,
+    DomainError,
     GrowthBound,
     InvalidLengthError,
     LogLinear,
     NonInvertibleError,
+    ResourceLimitError,
     dirichlet_convolve,
     dirichlet_inverse,
+    generate,
     identity_function,
     log_twist,
+    parse_spec,
     sign_of,
     von_mangoldt,
 )
@@ -233,3 +238,34 @@ class TestHelpers:
     def test_spf(self):
         spf = smallest_factor_sieve(20)
         assert spf[12] == 2 and spf[15] == 3 and spf[17] == 17
+
+
+class TestLengthCap:
+    """ZETADIST_MAX_N caps every function's length where it is built."""
+
+    @pytest.fixture(autouse=True)
+    def cap_1000(self, monkeypatch):
+        monkeypatch.setenv("ZETADIST_MAX_N", "1000")
+
+    def test_generator_spec_above_cap(self):
+        with pytest.raises(ResourceLimitError):
+            parse_spec("ones", 1001)
+        assert len(generate(parse_spec("ones", 1000))) == 1000
+
+    def test_hand_built_above_cap(self):
+        with pytest.raises(ResourceLimitError):
+            ArithmeticFunction([1] * 1001)
+        assert len(ArithmeticFunction([1] * 1000)) == 1000
+
+    def test_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("ZETADIST_MAX_N", "abc")
+        with pytest.raises(DomainError, match="ZETADIST_MAX_N"):
+            parse_spec("ones", 4)
+
+    def test_json_above_cap(self):
+        def blob(n):
+            return json.dumps({"coeffs": [["1", "1"]] * n, "growth": None})
+
+        with pytest.raises(ResourceLimitError):
+            ArithmeticFunction.from_json(blob(1001))
+        assert len(ArithmeticFunction.from_json(blob(1000))) == 1000

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from zetadist import cli
-from zetadist.arith import ArithmeticFunction
+from zetadist.arith import ArithmeticFunction, GrowthBound
 
 MODULE = [sys.executable, "-m", "zetadist.cli"]
 # the child interpreters import zetadist from this checkout, as pytest does
@@ -399,3 +400,49 @@ def test_main_leaves_no_cyclic_garbage(capsys):
     gc.collect()
     run_in_process(argv, capsys)
     assert gc.collect() == 0
+
+
+def test_dist_with_underflowing_a1(tmp_path, capsys):
+    path = tmp_path / "tiny_a1.json"
+    path.write_text(ArithmeticFunction([Fraction(1, 10**400), 1, 1], growth=GrowthBound(1.0, 0.0),
+                                       support_limit=3).to_json())
+    rc, out = run_in_process(["dist", "--gen", str(path), "--sigma", "2", "--tol", "1e-3"], capsys)
+    assert rc == 0
+    pmf = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
+    assert len(pmf) == 3 and pmf[0] == 0.0 and abs(sum(pmf) - 1.0) < 1e-15
+
+
+def test_length_above_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ZETADIST_MAX_N", "1000")
+    assert run_in_process(["gen", "--gen", "ones", "--max", "1000"], capsys)[0] == 0
+    rc = cli.main(["gen", "--gen", "ones", "--max", "1001"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--gen", "ones", "--rect", "1.5,2,0,inf", "--max", "16"],
+    ["zeros", "--gen", "ones", "--rect", "1.5,inf,0,1", "--max", "16"],
+    ["sigma0", "--gen", "oneplusq:2:4", "--height", "inf", "--sigma-hi", "4", "--max", "16"],
+    ["eval", "--gen", "ones", "--sigma", "inf", "--t", "1", "--max", "16"],
+    ["cf", "--gen", "ones", "--sigma", "2", "--t", "inf", "--max", "16"],
+], ids=["zeros-height", "zeros-width", "sigma0-height", "eval-sigma", "cf-t"])
+def test_non_finite_input_is_a_domain_error(argv, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "DomainError"
+
+
+def test_manifest_records_only_tolerances_used(tmp_path, capsys):
+    def tolerances(argv, filename):
+        assert run_in_process(["--out", str(tmp_path), *argv], capsys)[0] == 0
+        return manifest_of(tmp_path / filename)["tolerances"]
+
+    law = ["--gen", "ones", "--sigma", "2", "--max", "1000"]
+    # the analytic route reads no tolerance; --N overrides --tol
+    assert tolerances(["moments", *law, "--method", "analytic", "--tol", "1e-4"], "moments.json") == {}
+    assert tolerances(["eval", *law, "--N", "10", "--tol", "1e-9"], "eval.csv") == {}
+    assert tolerances(["moments", *law, "--method", "direct", "--tol", "1e-2"], "moments.json") == {"tol": 1e-2}
+    assert tolerances(["eval", *law, "--tol", "1e-2"], "eval.csv") == {"tol": 1e-2}

@@ -1,5 +1,6 @@
 """Distribution construction, moments by both routes, and sampling."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from zetadist import (
     sample,
     von_mangoldt,
 )
-from zetadist.arith import ArithmeticFunction
+from zetadist.arith import ArithmeticFunction, GrowthBound
 from zetadist.dist import RNG_ALGORITHM
+from zetadist.series import tail_bound
 
 from conftest import MEAN_ONES_S2, ZETA2, ZETA3, ZETA6, gen
 
@@ -59,6 +61,23 @@ class TestBuild:
         bad = ArithmeticFunction([1, -1, 0, 0])
         with pytest.raises(NotDistributionError):
             build_distribution(bad, 2.0, 1e-3)
+
+    def test_smallest_n_when_the_a1_margin_is_thin(self):
+        # tail(N)/a(1) <= tol first holds near N = 4e6, beyond the 10^6 stored
+        # coefficients, so N comes from the normalizer at each truncation
+        d = build_distribution(gen("ones", 10**6), 1.5, 1e-3)
+        assert d.N == 587297
+        assert d.tail_mass_bound <= 1e-3
+        z = math.fsum(n**-1.5 for n in range(1, d.N))
+        assert tail_bound(1.0, 0.0, 1.5, d.N - 1) / z > 1e-3
+
+    def test_underflowing_a1(self):
+        # a(1) > 0 exactly, but float(a(1)) == 0.0
+        a = ArithmeticFunction([Fraction(1, 10**400), 1, 1], growth=GrowthBound(1.0, 0.0), support_limit=3)
+        d = build_distribution(a, 2.0, 1e-3)
+        assert d.N == 3 and d.tail_mass_bound == 0.0
+        assert d.pmf[0] == 0.0
+        assert abs(float(d.pmf.sum()) - 1.0) < 1e-15
 
     def test_unreachable_tolerance_is_resource_error(self):
         ones = gen("ones", 10**4)
