@@ -297,10 +297,10 @@ class GrowthBound:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (self.C > 0):
-            raise ValueError("growth constant C must be positive")
-        if self.eps < 0:
-            raise ValueError("growth exponent eps must be >= 0")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"growth constant C={self.C} must be positive and finite")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"growth exponent eps={self.eps} must be >= 0 and finite")
 
 
 class ArithmeticFunction:
@@ -367,12 +367,18 @@ class ArithmeticFunction:
         return self.coeffs[n - 1]
 
     def first_negative_index(self) -> Optional[int]:
-        """Least n with a(n) < 0, or None, by an exact scan of the stored
-        values.  For exact-only callers (``satisfies_assumption``,
-        ``levy.validate_characteristic``): it builds no float view, which
-        would cost an O(N) conversion and raises OverflowError on an entry
-        beyond the float range.  Callers that read the view anyway test its
-        sign bits instead (``series._first_negative``)."""
+        """Least n with a(n) < 0, or None: the package's one sign test.
+        A float view already held is read by its sign bits, which it keeps
+        (a negative a(n) too small for a float reads -0.0); otherwise the
+        Fractions are scanned and no view is built, which would cost an O(N)
+        conversion and raises OverflowError beyond the float range."""
+        view = self._float_cache
+        if view is not None:
+            import numpy as np
+
+            negative = np.signbit(view)
+            n = int(negative.argmax())
+            return n + 1 if negative[n] else None
         for i, c in enumerate(self.coeffs):
             if c < 0:
                 return i + 1
@@ -618,11 +624,11 @@ def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
     pushes each A(n) a(m) onto the pending sum of n m and frees that sum once
     consumed.  Both give the same table.
     """
-    if a.multiplicative:
-        return _mangoldt_prime_powers(a)
     N, coeffs = len(a), a.coeffs
     if coeffs[0] == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
+    if a.multiplicative:
+        return _mangoldt_prime_powers(a)
     minus_inv_a1 = -1 / coeffs[0]
     spf = smallest_factor_sieve(N)
     anz = [m for m in _nonzero_indices(coeffs) if m >= 2]
@@ -655,8 +661,6 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
     N = len(a)
     coeffs = a.coeffs
     a1 = coeffs[0]
-    if a1 == 0:
-        raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
     nonzero: list[tuple[int, LogLinear]] = []
     for p in primes_up_to(N):
         powers = []

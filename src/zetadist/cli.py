@@ -6,7 +6,8 @@ manifest of the values it used.  ``main`` alone writes them, to stdout or to
 ``--out DIR``, and stamps the manifest with the argv it parsed and its own
 wall time.
 
-Exit codes: 0 success, 1 domain error, 2 resource error, 3 I/O error.
+Exit codes: 0 success, 1 domain error (a coefficient beyond the float range
+included), 2 resource error, 3 I/O error.
 Errors are emitted as one JSON object on stderr.
 """
 from __future__ import annotations
@@ -496,7 +497,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise IOError(str(exc)) from exc
             replace(out.manifest, command=argv, wall_time_s=time.monotonic() - start).write(path)
         return out.exit_code
-    except (OSError, ZetadistError) as exc:
+    except (OSError, OverflowError, ZetadistError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if isinstance(exc, ResourceLimitError) else 3 if isinstance(exc, OSError) else 1

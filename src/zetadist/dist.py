@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithmeticFunction, MangoldtSequence
+from .arith import ArithmeticFunction, GrowthBound, MangoldtSequence
 from .errors import DomainError, NotDistributionError, OutOfDomainError, ResourceLimitError
 from .series import (
+    EvalPoint,
     EvalResult,
-    _first_negative,
     _partial_sum,
     _require_domain,
+    _require_tol,
     _tail_for,
     derivative_growth,
     smallest_n,
@@ -30,10 +31,10 @@ SAMPLE_TAIL_GATE = 1e-12
 
 
 def _check_assumption(a: ArithmeticFunction) -> None:
-    """a(1) > 0 (exact) and a(n) >= 0 (from the float view's sign bits)."""
+    """a(1) > 0 and a(n) >= 0 (``ArithmeticFunction.first_negative_index``)."""
     if a.coeffs[0] <= 0:
         raise NotDistributionError("a(1) must be positive to define a distribution")
-    n = _first_negative(a)
+    n = a.first_negative_index()
     if n is not None:
         raise NotDistributionError(f"a({n}) < 0: not a characteristic function")
 
@@ -72,6 +73,7 @@ def build_distribution(
     if a.growth is None and a.support_limit is None:
         raise OutOfDomainError("needs a growth certificate or finite support to bound the tail mass")
     _require_domain(a, sigma, 0)
+    _require_tol(tol)
 
     # every weight is nonnegative, so Z_n >= a(1) for every n: an N whose
     # tail is within tol of a(1) is sound, and it needs no weights
@@ -113,8 +115,7 @@ def moments_analytic(lam: MangoldtSequence, sigma: float) -> tuple[float, float]
     series, which the caller attests (always true for the nonnegative families
     here at sigma > 1; in general it holds right of the zero-free abscissa).
     """
-    if not sigma > 1.0:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
+    EvalPoint(sigma)
     ns, vals = lam.float_arrays()
     ln = np.log(ns.astype(np.float64))
     _, mean, variance = _partial_sum(vals / ln, ln, [sigma], 2)[:, 0].real
@@ -138,9 +139,10 @@ def moments_tail_spread(lam: MangoldtSequence, sigma: float, growth: tuple[float
     The mean sums A(n) n^{-sigma} and the variance A(n) log(n) n^{-sigma}, so
     the certificate picks up one or two log factors.
     """
-    C, eps = growth
-    C1, e1 = derivative_growth(C, eps, 1)
-    C2, e2 = derivative_growth(C, eps, 2)
+    EvalPoint(sigma)
+    g = GrowthBound(*growth)
+    C1, e1 = derivative_growth(g.C, g.eps, 1)
+    C2, e2 = derivative_growth(g.C, g.eps, 2)
     m = tail_bound(C1, e1, sigma, lam.N) if sigma > 1.0 + e1 else math.inf
     v = tail_bound(C2, e2, sigma, lam.N) if sigma > 1.0 + e2 else math.inf
     return m, v
@@ -165,6 +167,8 @@ def sample(
         raise DomainError("count must be nonnegative")
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    if not max_tail_mass >= 0:
+        raise DomainError(f"max_tail_mass={max_tail_mass} must be >= 0")
     if d.tail_mass_bound > max_tail_mass:
         raise DomainError(
             f"tail mass bound {d.tail_mass_bound:.3g} exceeds the gate {max_tail_mass:.3g}; "

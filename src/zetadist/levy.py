@@ -18,7 +18,8 @@ import numpy as np
 
 from .arith import ArithmeticFunction, MangoldtSequence
 from .dist import _check_assumption
-from .errors import ContourError, DomainError, HypothesisViolationError, OutOfDomainError
+from .errors import ContourError, DomainError, HypothesisViolationError
+from .series import EvalPoint
 from .zeroscan import Sigma0Estimate, estimate_sigma0
 
 VERDICT_ZERO_LINE = "case1"
@@ -54,8 +55,7 @@ class QuasiLevyMeasure:
 
 def quasi_levy_measure(lam: MangoldtSequence, sigma: float) -> QuasiLevyMeasure:
     """Atoms (n, -log n, A(n)/(n^sigma log n)) for the nonzero A(n)."""
-    if not sigma > 1.0:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
+    EvalPoint(sigma)
     ns, vals = lam.float_arrays()
     nf = ns.astype(np.float64)
     logn = np.log(nf)
@@ -79,6 +79,7 @@ def compound_poisson_cf(m: QuasiLevyMeasure, t: float, a1: Fraction) -> complex:
     """
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive")
+    EvalPoint(m.sigma, t)
     phase = np.exp(1j * t * m.positions) - 1.0
     return complex(np.exp((m.masses * phase).sum()))
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import ArithmeticFunction, MangoldtSequence
+from .arith import ArithmeticFunction, GrowthBound, MangoldtSequence
 from .errors import DomainError, OutOfDomainError, ResourceLimitError
 
 DEFAULT_N = 10**5
@@ -102,12 +102,10 @@ def _tail_for(a: ArithmeticFunction, sigma: float, N: int, order: int) -> float:
 
 def _require_domain(a: ArithmeticFunction, sigma: float, order: int) -> None:
     """The half-plane rule of evaluate_series, evaluate_cf,
-    build_distribution and count_zeros: sigma > 1, and with a growth
-    certificate sigma > 1+eps (eps bumped for derivative orders)."""
-    if not sigma > 1.0:
-        raise OutOfDomainError(f"sigma={sigma} must exceed 1")
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma={sigma} must be finite")
+    build_distribution and count_zeros: a finite sigma > 1 (``EvalPoint``),
+    and with a growth certificate sigma > 1+eps (eps bumped for derivative
+    orders)."""
+    EvalPoint(sigma)
     if a.growth is not None:
         _, eps = derivative_growth(a.growth.C, a.growth.eps, order)
         if not sigma > 1.0 + eps:
@@ -117,6 +115,14 @@ def _require_domain(a: ArithmeticFunction, sigma: float, order: int) -> None:
             )
 
 
+def _require_tol(tol: float) -> None:
+    """The one tolerance rule: positive (NaN is not) and finite."""
+    if not tol > 0:
+        raise DomainError(f"tol={tol} must be positive")
+    if tol == math.inf:
+        raise DomainError(f"tol={tol} must be finite")
+
+
 def _resolve_n(a: ArithmeticFunction, sigma: float, N: Optional[int], tol: Optional[float], order: int) -> int:
     if N is not None:
         if N < 1:
@@ -124,6 +130,7 @@ def _resolve_n(a: ArithmeticFunction, sigma: float, N: Optional[int], tol: Optio
         return min(N, len(a))
     if tol is None:
         return min(DEFAULT_N, len(a))
+    _require_tol(tol)
     # auto mode: smallest N with tail <= tol (monotone in N)
     if a.support_limit is not None and a.support_limit <= len(a):
         return max(a.support_limit, 1)
@@ -208,21 +215,6 @@ def evaluate_series(
     return EvalResult(value=value, tail_bound=tb, N_used=N_used)
 
 
-def _first_negative(a: ArithmeticFunction) -> Optional[int]:
-    """Least n with a(n) < 0, or None, read off the float view's sign bits.
-
-    float() of a Fraction is a correctly rounded int/int division that keeps
-    the sign, so a negative a(n) too small for a float still reads -0.0, and
-    the closed-form views of the generators are exact.  For callers that
-    read the float view anyway (evaluate_cf, build_distribution); exact-only
-    callers use ``ArithmeticFunction.first_negative_index``, which builds
-    no view.
-    """
-    negative = np.signbit(a.float_coeffs())
-    n = int(negative.argmax())
-    return n + 1 if negative[n] else None
-
-
 def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int = 0, N: Optional[int] = None):
     """Values of the series truncated at N (default DEFAULT_N) and of its
     derivative orders up to ``order`` at a batch of complex points.
@@ -246,10 +238,9 @@ def evaluate_cf(
     nonnegative; a negative coefficient triggers NotCharacteristicWarning but
     the quotient is still returned.
     """
+    EvalPoint(sigma, t)
     _require_domain(a, sigma, 0)
-    if not math.isfinite(t):
-        raise DomainError(f"t={t} must be finite")
-    if _first_negative(a) is not None:
+    if a.first_negative_index() is not None:
         warnings.warn(
             "negative coefficient present: quotient is not a characteristic function",
             NotCharacteristicWarning,
@@ -278,12 +269,9 @@ def evaluate_log_series(
     """
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive for the logarithm")
+    g = None if growth is None else GrowthBound(*growth)
     ns, vals = lam.float_arrays()
     ln = np.log(ns.astype(np.float64))
     value = complex(_partial_sum(vals / ln, ln, [s.s], 0)[0, 0]) + math.log(float(a1))
-    if growth is None:
-        tb = math.inf
-    else:
-        C, eps = growth
-        tb = tail_bound(C, eps, s.sigma, lam.N)
+    tb = math.inf if g is None else tail_bound(g.C, g.eps, s.sigma, lam.N)
     return EvalResult(value=value, tail_bound=tb, N_used=lam.N)

@@ -21,8 +21,8 @@ truncation tail stays well below that bound (Rouche): a report is
 a bound.  A contour that needs more than 2^16 evaluations or a step below
 1e-12 is reported "contour-too-close".
 
-Report fields: ``winding_integral`` is the tracked sum (imaginary part 0),
-``quad_error`` holds rnd, ``tail_bound`` the truncation tail alone and
+Report fields: ``winding_sum`` is the tracked sum, ``rounding_bound`` is
+rnd, ``tail_bound`` the truncation tail alone and
 ``min_modulus_on_contour`` the smallest sampled |Z_N|.
 """
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction
 from .errors import ContourError, DomainError, OutOfDomainError
-from .series import _require_domain, _tail_for, evaluate_series_batch, smallest_n
+from .series import _require_domain, _require_tol, _tail_for, evaluate_series_batch, smallest_n
 
 STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
@@ -79,8 +79,8 @@ class ZeroScanReport:
     winding: int
     min_modulus_on_contour: float
     status: str
-    winding_integral: complex
-    quad_error: float
+    winding_sum: float
+    rounding_bound: float
     tail_bound: float
     N_used: int
 
@@ -95,8 +95,8 @@ class ZeroScanReport:
             "winding": self.winding,
             "min_modulus_on_contour": self.min_modulus_on_contour,
             "status": self.status,
-            "winding_integral": [self.winding_integral.real, self.winding_integral.imag],
-            "quad_error": self.quad_error,
+            "winding_sum": self.winding_sum,
+            "rounding_bound": self.rounding_bound,
             "tail_bound": self.tail_bound,
             "N": self.N_used,
         }
@@ -163,8 +163,8 @@ def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int) -> ZeroScanReport
         winding=max(round(winding), 0),
         min_modulus_on_contour=minmod,
         status=status,
-        winding_integral=complex(winding, 0.0),
-        quad_error=rnd,
+        winding_sum=winding,
+        rounding_bound=rnd,
         tail_bound=tail,
         N_used=N,
     )
@@ -219,7 +219,7 @@ def localize_zeros(
     still fail at the size floor they are returned as-is so the caller sees
     the uncertified remainder.
     """
-    if min_size <= 0:
+    if not min_size > 0:
         raise DomainError("min_size must be positive")
     # split off-center: an exact-midpoint split can park the new edge on a
     # zero (both children then stay uncertifiable all the way down)
@@ -305,8 +305,7 @@ def estimate_sigma0(
     """
     if not 0 < T < math.inf:
         raise DomainError(f"height T={T} must be positive and finite")
-    if not tol > 0:
-        raise DomainError(f"tol={tol} must be positive")
+    _require_tol(tol)
     if a.growth is None:
         raise DomainError("zero scanning needs a growth certificate")
     eps = a.growth.eps

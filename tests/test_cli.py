@@ -294,7 +294,9 @@ def test_threads_flag_sampling():
 # subcommands returned their rows to main.  Floats are compared at 12
 # significant digits: float outputs are reproducible bit for bit only on the
 # same binary.  The classify digest is of that output with its uncertified
-# "observed_abscissa" key removed.
+# "observed_abscissa" key removed; the zeros digest is of that output with
+# "winding_integral" [w, 0.0] renamed to "winding_sum" w and "quad_error" to
+# "rounding_bound".
 STDOUT_DIGESTS = {
     "gen": "0b1dc305d2ad34c6",
     "convolve": "d99b3082e71aa099",
@@ -302,7 +304,7 @@ STDOUT_DIGESTS = {
     "acoeffs": "94f87e67f2fcec5f",
     "eval": "f2aff97a81a78d26",
     "cf": "ea24743e4c81e377",
-    "zeros": "b2f8bf81c2135510",
+    "zeros": "9ba1bafa1934a2f6",
     "sigma0": "e0b2d783a0b63f8e",
     "dist": "ac9dad6fb2fd57ee",
     "moments": "1776152291207f05",
@@ -427,12 +429,34 @@ def test_length_above_cap_exits_2(monkeypatch, capsys):
     ["sigma0", "--gen", "oneplusq:2:4", "--height", "inf", "--sigma-hi", "4", "--max", "16"],
     ["eval", "--gen", "ones", "--sigma", "inf", "--t", "1", "--max", "16"],
     ["cf", "--gen", "ones", "--sigma", "2", "--t", "inf", "--max", "16"],
-], ids=["zeros-height", "zeros-width", "sigma0-height", "eval-sigma", "cf-t"])
+    ["moments", "--gen", "ones", "--sigma", "inf", "--max", "16"],
+    ["levy", "--gen", "ones", "--sigma", "inf", "--max", "16"],
+    ["dist", "--gen", "ones", "--sigma", "2", "--tol", "nan", "--max", "16"],
+    ["eval", "--gen", "ones", "--sigma", "2", "--tol", "0", "--max", "16"],
+    ["sample", "--gen", "ones", "--sigma", "3", "--count", "5", "--seed", "1", "--tol", "1e-3", "--max", "1000",
+     "--max-tail-mass", "nan"],
+], ids=["zeros-height", "zeros-width", "sigma0-height", "eval-sigma", "cf-t", "moments-sigma", "levy-sigma",
+        "dist-tol", "eval-tol", "sample-max-tail-mass"])
 def test_non_finite_input_is_a_domain_error(argv, capsys):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert json.loads(captured.err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--sigma", "2", "--tol", "1e-3"],
+    ["eval", "--sigma", "2"],
+    ["classify", "--height", "5"],
+], ids=["dist", "eval", "classify"])
+def test_coefficient_beyond_float_range_is_one_error_line(tmp_path, argv, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(ArithmeticFunction([1, Fraction(10**400), 1], growth=GrowthBound(1.0, 0.0),
+                                       support_limit=3).to_json())
+    rc = cli.main([argv[0], "--gen", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "OverflowError"
 
 
 def test_manifest_records_only_tolerances_used(tmp_path, capsys):

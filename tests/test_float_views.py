@@ -13,7 +13,7 @@ from zetadist import NotCharacteristicWarning, NotDistributionError
 from zetadist.arith import ArithmeticFunction, GrowthBound
 from zetadist.dist import build_distribution
 from zetadist.levy import validate_characteristic
-from zetadist.series import _first_negative, evaluate_cf
+from zetadist.series import evaluate_cf
 
 from conftest import gen
 
@@ -185,4 +185,7 @@ def test_exact_sign_test_builds_no_float_view():
                          ids=("hard", "reversed", "nonnegative"))
 def test_exact_and_sign_bit_tests_agree(values):
     fn = ArithmeticFunction(values)
-    assert _first_negative(fn) == fn.first_negative_index()
+    exact = fn.first_negative_index()
+    assert fn._float_cache is None
+    fn.float_coeffs()
+    assert fn.first_negative_index() == exact

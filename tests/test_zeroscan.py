@@ -55,7 +55,7 @@ class TestEngineeredZero:
         assert rep.certified
         assert rep.winding == 1
         assert rep.tail_bound == 0.0  # finite series
-        assert abs(rep.winding_integral - 1.0) < 0.1
+        assert abs(rep.winding_sum - 1.0) < 0.1
 
     def test_empty_rectangle(self, engineered):
         rep = count_zeros(engineered, Rectangle(2.5, 3.5, 4.0, 5.0))
@@ -101,8 +101,8 @@ class TestArgumentTracking:
     def test_winding_is_exact_sum_of_arguments(self, engineered):
         rep = count_zeros(engineered, Rectangle(1.7, 2.3, -5.0, 5.0))
         assert rep.certified and rep.winding == 2
-        assert abs(rep.winding_integral - 2.0) < 1e-12
-        assert 0.0 < rep.quad_error < 1e-12  # rounding bound, N=16
+        assert abs(rep.winding_sum - 2.0) < 1e-12
+        assert 0.0 < rep.rounding_bound < 1e-12  # rounding bound, N=16
 
     def test_certificate_uses_the_bound_between_samples(self, engineered, monkeypatch):
         # with the tail just under a tenth of the sampled minimum, only a
@@ -139,7 +139,7 @@ class TestZeroFreeWindows:
         # Euler-product floor: |Z| >= zeta(2 sigma)/zeta(sigma) > 0.46 at 1.5,
         # minus the truncation tail at the auto-resolved N
         assert rep.min_modulus_on_contour > 0.4
-        assert rep.min_modulus_on_contour > 10.0 * (rep.tail_bound + rep.quad_error)
+        assert rep.min_modulus_on_contour > 10.0 * (rep.tail_bound + rep.rounding_bound)
 
     def test_ezstar_window(self):
         ez = gen("ezstar", 65536)
