@@ -406,9 +406,17 @@ class ArithmeticFunction:
         cached = self._float_cache
         if cached is None:
             c = self.coeffs
-            cached = np.fromiter(
-                map(truediv, map(_NUMERATOR, c), map(_DENOMINATOR, c)), dtype=np.float64, count=len(c)
-            )
+            try:
+                cached = np.fromiter(
+                    map(truediv, map(_NUMERATOR, c), map(_DENOMINATOR, c)), dtype=np.float64, count=len(c)
+                )
+            except OverflowError:
+                for n, x in enumerate(c, 1):
+                    try:
+                        truediv(x.numerator, x.denominator)
+                    except OverflowError:
+                        raise OverflowError(f"a({n}) lies beyond the float range") from None
+                raise
             cached.flags.writeable = False
             object.__setattr__(self, "_float_cache", cached)
         return cached
@@ -544,15 +552,9 @@ class MangoldtSequence:
     algorithm that built the table: ``"prime-powers"`` or ``"dense"``.
     """
 
-    __slots__ = ("_nonzero", "N", "source", "route", "_array_cache")
+    __slots__ = ("_nonzero", "N", "route", "_array_cache")
 
-    def __init__(
-        self,
-        nonzero: Mapping[int, LogLinear],
-        N: int,
-        source: Optional[ArithmeticFunction] = None,
-        route: str = "dense",
-    ):
+    def __init__(self, nonzero: Mapping[int, LogLinear], N: int, route: str = "dense"):
         if N < 1:
             raise InvalidLengthError(f"invalid length {N}")
         if route not in ("prime-powers", "dense"):
@@ -561,21 +563,18 @@ class MangoldtSequence:
         for n in clean:
             if not 2 <= n <= N:
                 raise ValueError(f"index {n} outside 2..{N}")
-        self._fill(clean.items(), N, source, route)
+        self._fill(clean.items(), N, route)
 
     @classmethod
-    def _built(
-        cls, items: Iterable[tuple[int, LogLinear]], N: int, source: ArithmeticFunction, route: str
-    ) -> "MangoldtSequence":
+    def _built(cls, items: Iterable[tuple[int, LogLinear]], N: int, route: str) -> "MangoldtSequence":
         """A table ``von_mangoldt`` built: no zero value, every index in 2..N."""
         obj = object.__new__(cls)
-        obj._fill(items, N, source, route)
+        obj._fill(items, N, route)
         return obj
 
-    def _fill(self, items, N, source, route) -> None:
+    def _fill(self, items, N, route) -> None:
         object.__setattr__(self, "_nonzero", dict(sorted(items)))
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "source", source)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "_array_cache", None)
 
@@ -594,14 +593,18 @@ class MangoldtSequence:
         return len(self._nonzero)
 
     def float_arrays(self):
-        """(indices, values) as numpy arrays, values in double precision."""
+        """(n, log n, A(n)/log n) over the nonzero A(n) as numpy arrays, the
+        last two in double precision: the Dirichlet coefficients of log Z and
+        the logarithms the series kernel needs beside them."""
         import numpy as np
 
         cached = self._array_cache
         if cached is None:
             ns = np.fromiter(self._nonzero.keys(), dtype=np.int64, count=len(self._nonzero))
-            vals = np.fromiter((v.evaluate() for v in self._nonzero.values()), dtype=np.float64, count=len(self._nonzero))
-            cached = (ns, vals)
+            coef = np.fromiter((v.evaluate() for v in self._nonzero.values()), dtype=np.float64, count=len(self._nonzero))
+            logn = np.log(ns.astype(np.float64))
+            coef /= logn
+            cached = (ns, logn, coef)
             object.__setattr__(self, "_array_cache", cached)
         return cached
 
@@ -647,7 +650,7 @@ def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
             target = pending.setdefault(n * m, {})
             for p, v in terms:
                 target[p] = target.get(p, _ZERO) + v * coeffs[m - 1]
-    return MangoldtSequence._built(nonzero, N, a, "dense")
+    return MangoldtSequence._built(nonzero, N, "dense")
 
 
 def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
@@ -682,4 +685,4 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
         for q, cr in zip(powers, c):
             if cr:
                 nonzero.append((q, LogLinear._raw(((p, cr),))))
-    return MangoldtSequence._built(nonzero, N, a, "prime-powers")
+    return MangoldtSequence._built(nonzero, N, "prime-powers")

@@ -16,7 +16,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -213,9 +212,10 @@ def cmd_sigma0(args) -> Output:
 def cmd_dist(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     d = build_distribution(fn, args.sigma, args.tol)
+    x = d.positions()
     lines = ["n,x,pmf"]
     for n in range(1, min(args.head, d.N) + 1):
-        lines.append(f"{n},{_fmt(-math.log(n))},{_fmt(float(d.pmf[n - 1]))}")
+        lines.append(f"{n},{_fmt(float(x[n - 1]))},{_fmt(float(d.pmf[n - 1]))}")
     return Output("dist.csv", lines, RunManifest(source, N=d.N, tolerances={"tol": args.tol}))
 
 

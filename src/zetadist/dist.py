@@ -21,6 +21,7 @@ from .series import (
     _require_domain,
     _require_tol,
     _tail_for,
+    _weights,
     derivative_growth,
     smallest_n,
     tail_bound,
@@ -55,6 +56,7 @@ class ZetaDistribution:
     pmf: np.ndarray = field(repr=False)
 
     def positions(self) -> np.ndarray:
+        """The atoms -log n for n = 1..N, aligned with ``pmf``."""
         return -self.a.log_n()[:self.N]
 
 
@@ -80,13 +82,12 @@ def build_distribution(
     a1 = float(a.coeffs[0])
     N = smallest_n(lambda n: _tail_for(a, sigma, n, 0) / a1 <= tol, 1, len(a)) if a1 > 0.0 else None
     if N is not None:
-        weights = a.float_coeffs()[:N] * np.exp(-sigma * a.log_n()[:N])
+        weights = _weights(a.float_coeffs()[:N], a.log_n()[:N], sigma)
         Z = float(weights.sum())
     else:
         # the margin over a(1) is too thin (or a(1) underflows): test every
         # n against its own normalizer z[n-1]; tail/z falls as n grows
-        weights = np.exp(-sigma * a.log_n())
-        weights *= a.float_coeffs()
+        weights = _weights(a.float_coeffs(), a.log_n(), sigma)
         z = np.cumsum(weights)
         N = smallest_n(lambda n: z[n - 1] > 0.0 and _tail_for(a, sigma, n, 0) / z[n - 1] <= tol, 1, len(a))
         if N is None:
@@ -116,18 +117,17 @@ def moments_analytic(lam: MangoldtSequence, sigma: float) -> tuple[float, float]
     here at sigma > 1; in general it holds right of the zero-free abscissa).
     """
     EvalPoint(sigma)
-    ns, vals = lam.float_arrays()
-    ln = np.log(ns.astype(np.float64))
-    _, mean, variance = _partial_sum(vals / ln, ln, [sigma], 2)[:, 0].real
+    _, logn, coef = lam.float_arrays()
+    _, mean, variance = _partial_sum(coef, logn, [sigma], 2)[:, 0].real
     return float(mean), float(variance)
 
 
 def moments_direct(d: ZetaDistribution) -> tuple[float, float]:
     """(mean, variance) of the stored truncated law:
     mean = sum pmf(n) (-log n), variance = E[X^2] - (E[X])^2."""
-    logn = d.a.log_n()[:d.N]
-    mean = -float((d.pmf * logn).sum())
-    second = float((d.pmf * logn * logn).sum())
+    x = d.positions()
+    mean = float((d.pmf * x).sum())
+    second = float((d.pmf * x * x).sum())
     return mean, second - mean * mean
 
 
@@ -176,16 +176,13 @@ def sample(
         )
     cdf = np.cumsum(d.pmf)
     cdf /= cdf[-1]
-    logn = d.a.log_n()[:d.N]
-    per = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
-    parts = []
+    # streams i >= count draw nothing, so only min(workers, count) of them run
+    per = [count // workers + (1 if i < count % workers else 0) for i in range(min(workers, count))]
+    draws = []
     for i, c in enumerate(per):
-        if c == 0:
-            continue
         rng = np.random.Generator(np.random.PCG64((seed ^ i) & 0xFFFFFFFFFFFFFFFF))
-        u = rng.random(c)
-        idx = np.searchsorted(cdf, u, side="left")
-        parts.append(-logn[idx])
-    if not parts:
+        draws.append(np.searchsorted(cdf, rng.random(c), side="left"))
+    del cdf  # free the CDF before the atoms are formed
+    if not draws:
         return np.empty(0, dtype=np.float64)
-    return np.concatenate(parts)
+    return d.positions()[np.concatenate(draws)]

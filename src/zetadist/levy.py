@@ -19,7 +19,7 @@ import numpy as np
 from .arith import ArithmeticFunction, MangoldtSequence
 from .dist import _check_assumption
 from .errors import ContourError, DomainError, HypothesisViolationError
-from .series import EvalPoint
+from .series import EvalPoint, _partial_sum, _weights
 from .zeroscan import Sigma0Estimate, estimate_sigma0
 
 VERDICT_ZERO_LINE = "case1"
@@ -56,10 +56,8 @@ class QuasiLevyMeasure:
 def quasi_levy_measure(lam: MangoldtSequence, sigma: float) -> QuasiLevyMeasure:
     """Atoms (n, -log n, A(n)/(n^sigma log n)) for the nonzero A(n)."""
     EvalPoint(sigma)
-    ns, vals = lam.float_arrays()
-    nf = ns.astype(np.float64)
-    logn = np.log(nf)
-    masses = vals / (np.exp(sigma * logn) * logn)
+    ns, logn, coef = lam.float_arrays()
+    masses = _weights(coef, logn, sigma)
     return QuasiLevyMeasure(
         ns=ns,
         positions=-logn,
@@ -72,7 +70,8 @@ def quasi_levy_measure(lam: MangoldtSequence, sigma: float) -> QuasiLevyMeasure:
 
 def compound_poisson_cf(m: QuasiLevyMeasure, t: float, a1: Fraction) -> complex:
     """exp(sum_atoms mass * (e^{i t x} - 1)) with x = -log n, i.e. the
-    compound-Poisson characteristic function of the measure.
+    compound-Poisson characteristic function of the measure: exp(S(t) - S(0))
+    with S(t) = sum mass n^{-it} summed by the series kernel in one call.
 
     The n=1 normalization requires a(1) > 0; a(1) itself cancels in the
     quotient and does not enter the value.
@@ -80,8 +79,8 @@ def compound_poisson_cf(m: QuasiLevyMeasure, t: float, a1: Fraction) -> complex:
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive")
     EvalPoint(m.sigma, t)
-    phase = np.exp(1j * t * m.positions) - 1.0
-    return complex(np.exp((m.masses * phase).sum()))
+    S_t, S_0 = _partial_sum(m.masses, -m.positions, [complex(0.0, t), 0.0], 0)[0]
+    return complex(np.exp(S_t - S_0))
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,8 @@ def observed_decay_abscissa(lam: MangoldtSequence) -> Optional[float]:
     public while the benchmark tracer wraps it.  None when fewer than four
     nonempty blocks exist.
     """
-    ns, vals = lam.float_arrays()
-    logn = np.log(ns.astype(np.float64))
-    weights = np.abs(vals) / logn
+    ns, _, coef = lam.float_arrays()
+    weights = np.abs(coef)
     ks = np.floor(np.log2(ns.astype(np.float64))).astype(np.int64)
     sums: dict[int, float] = {}
     for k, w in zip(ks, weights):

@@ -5,7 +5,9 @@ truncation-tail bounds derived from growth certificates.
 All floating point lives here (and downstream); values are complex doubles.
 Every sum of n^{-s} goes through ``_partial_sum``, which computes
 n^{-sigma} (cos(t log n) - i sin(t log n)) with the platform exp, log, cos
-and sin.
+and sin; ``_rounding_bound`` bounds its float error.  Every real per-term
+weight c(n) n^{-sigma} (the law's masses, the quasi-Levy masses, the zero
+scan's Lipschitz weights) comes from ``_weights``.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .errors import DomainError, OutOfDomainError, ResourceLimitError
 DEFAULT_N = 10**5
 DERIVATIVE_EPS_BUMP = 0.1
 _CHUNK = 1 << 20
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class NotCharacteristicWarning(UserWarning):
@@ -159,6 +162,14 @@ def smallest_n(ok: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
     return lo
 
 
+def _weights(c: np.ndarray, logn: np.ndarray, sigma: float) -> np.ndarray:
+    """The per-term weights c(n) n^{-sigma} as a new array: the one place a
+    real n^{-sigma} is formed."""
+    w = np.exp(-sigma * logn)
+    w *= c
+    return w
+
+
 def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np.ndarray:
     """sum_n coeffs[n] (-logn[n])^k n^{-s} for k = 0..order at every point s,
     as an array of shape (order+1, len(points)); empty arrays sum to 0.
@@ -190,6 +201,15 @@ def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np
     return out
 
 
+def _rounding_bound(N: int, sigma_max: float, t_abs: float, abs_sum: float) -> float:
+    """Bound on the float error of one ``_partial_sum`` value over N terms at
+    Re s <= sigma_max and |Im s| <= t_abs, given abs_sum >= sum |c(n)| n^{-Re s}:
+    (N + 8 + 4 (sigma_max + t_abs) log N) 2^-53 abs_sum covers the exp, cos
+    and sin calls (their arguments carry the rounding of sigma log n and
+    t log n) and the mat-vec accumulation."""
+    return (N + 8 + 4 * (sigma_max + t_abs) * math.log(N)) * _UNIT_ROUNDOFF * abs_sum
+
+
 def evaluate_series(
     a: ArithmeticFunction,
     s: EvalPoint,
@@ -215,14 +235,14 @@ def evaluate_series(
     return EvalResult(value=value, tail_bound=tb, N_used=N_used)
 
 
-def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int = 0, N: Optional[int] = None):
-    """Values of the series truncated at N (default DEFAULT_N) and of its
-    derivative orders up to ``order`` at a batch of complex points.
+def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int, N: int):
+    """Values of the series truncated at N and of its derivative orders up to
+    ``order`` at a batch of complex points.
 
     Returns an array of shape (order+1, len(points)).  No tail bookkeeping:
     callers bound the tail with the truncation they pass.
     """
-    N = min(N if N is not None else DEFAULT_N, len(a))
+    N = min(N, len(a))
     return _partial_sum(a.float_coeffs()[:N], a.log_n()[:N], points, order)
 
 
@@ -270,8 +290,7 @@ def evaluate_log_series(
     if a1 <= 0:
         raise DomainError(f"a(1)={a1} must be positive for the logarithm")
     g = None if growth is None else GrowthBound(*growth)
-    ns, vals = lam.float_arrays()
-    ln = np.log(ns.astype(np.float64))
-    value = complex(_partial_sum(vals / ln, ln, [s.s], 0)[0, 0]) + math.log(float(a1))
+    _, logn, coef = lam.float_arrays()
+    value = complex(_partial_sum(coef, logn, [s.s], 0)[0, 0]) + math.log(float(a1))
     tb = math.inf if g is None else tail_bound(g.C, g.eps, s.sigma, lam.N)
     return EvalResult(value=value, tail_bound=tb, N_used=lam.N)

@@ -2,11 +2,11 @@
 
 The winding number of the *truncated* series Z_N around a rectangle is found
 by tracking the argument of Z_N along the contour.  One pass over the
-coefficients gives, with w(n) = |a(n)| n^{-sigma_min} for n <= N,
+weights w(n) = |a(n)| n^{-sigma_min}, n <= N (``series._weights``), gives
 
 - L = sum w(n) log n, a bound on |Z_N'| on the whole rectangle, and
-- rnd = (N + 8 + 4 (sigma_max + max|t|) log N) 2^-53 sum w(n), a bound on
-  the floating-point error of each computed value of Z_N.
+- rnd, the series kernel's bound on the floating-point error of each
+  computed value of Z_N (``series._rounding_bound``).
 
 Starting from 8 points per edge (corners included), every segment of length
 h with L h > kappa max(|z_i|, |z_{i+1}|), kappa = 1/2, is split into
@@ -35,7 +35,16 @@ import numpy as np
 
 from .arith import ArithmeticFunction
 from .errors import ContourError, DomainError, OutOfDomainError
-from .series import _require_domain, _require_tol, _tail_for, evaluate_series_batch, smallest_n
+from .series import (
+    EvalPoint,
+    _require_domain,
+    _require_tol,
+    _rounding_bound,
+    _tail_for,
+    _weights,
+    evaluate_series_batch,
+    smallest_n,
+)
 
 STATUS_CERTIFIED = "certified"
 STATUS_TOO_CLOSE = "contour-too-close"
@@ -47,7 +56,6 @@ _START_POINTS = 8      # per edge, corners included
 _MAX_PIECES = 64
 _MAX_EVALS = 1 << 16
 _MIN_STEP = 1e-12
-_UNIT_ROUNDOFF = 2.0 ** -53
 _NUDGE_ATTEMPTS = 5    # left edges _certified_count tries per strip
 
 
@@ -141,11 +149,10 @@ def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, L: float):
 def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int) -> ZeroScanReport:
     tail = _tail_for(a, rect.sigma_min, N, 0)
     logn = a.log_n()[:N]
-    w = np.exp(logn * -rect.sigma_min)
-    w *= np.abs(a.float_coeffs()[:N])
+    w = _weights(np.abs(a.float_coeffs()[:N]), logn, rect.sigma_min)
     L = float(w @ logn)
     t_abs = max(abs(rect.t_min), abs(rect.t_max))
-    rnd = (N + 8 + 4 * (rect.sigma_max + t_abs) * math.log(N)) * _UNIT_ROUNDOFF * float(w.sum())
+    rnd = _rounding_bound(N, rect.sigma_max, t_abs, float(w.sum()))
 
     s, z, resolved = _track_contour(a, rect, N, L)
     mod = np.abs(z)
@@ -214,10 +221,10 @@ def localize_zeros(
     whose longer side is below ``min_size``.
 
     Returns the certified leaf reports with winding >= 1 (multiplicity stays
-    aggregated per box).  Boxes whose contour cannot be certified are split
-    once more on the off chance the split moves the edge off a zero; if they
-    still fail at the size floor they are returned as-is so the caller sees
-    the uncertified remainder.
+    aggregated per box).  A box whose contour cannot be certified is split
+    once more on the off chance the split moves the edge off a zero; a child
+    that still fails, or any box at the size floor that is not certified
+    zero-free, is returned as-is so the caller sees the uncertified remainder.
     """
     if not min_size > 0:
         raise DomainError("min_size must be positive")
@@ -225,26 +232,26 @@ def localize_zeros(
     # zero (both children then stay uncertifiable all the way down)
     frac = 0.53125
     out: list[ZeroScanReport] = []
-    stack = [rect]
+    stack = [(rect, False)]  # (box, whether its parent was uncertified)
     while stack:
-        box = stack.pop()
+        box, parent_failed = stack.pop()
         rep = count_zeros(a, box, N=N)
         width = box.sigma_max - box.sigma_min
         height = box.t_max - box.t_min
-        small = max(width, height) <= min_size
         if rep.certified and rep.winding == 0:
             continue
-        if small:
+        failed = not rep.certified
+        if max(width, height) <= min_size or (parent_failed and failed):
             out.append(rep)
             continue
         if width >= height:
             mid = box.sigma_min + frac * width
-            stack.append(Rectangle(box.sigma_min, mid, box.t_min, box.t_max))
-            stack.append(Rectangle(mid, box.sigma_max, box.t_min, box.t_max))
+            stack.append((Rectangle(box.sigma_min, mid, box.t_min, box.t_max), failed))
+            stack.append((Rectangle(mid, box.sigma_max, box.t_min, box.t_max), failed))
         else:
             mid = box.t_min + frac * height
-            stack.append(Rectangle(box.sigma_min, box.sigma_max, box.t_min, mid))
-            stack.append(Rectangle(box.sigma_min, box.sigma_max, mid, box.t_max))
+            stack.append((Rectangle(box.sigma_min, box.sigma_max, box.t_min, mid), failed))
+            stack.append((Rectangle(box.sigma_min, box.sigma_max, mid, box.t_max), failed))
     out.sort(key=lambda r: (r.rectangle.t_min, r.rectangle.sigma_min))
     return out
 
@@ -311,6 +318,7 @@ def estimate_sigma0(
     eps = a.growth.eps
     if not sigma_hi > 1.0 + eps + tol:
         raise OutOfDomainError(f"sigma_hi={sigma_hi} must exceed 1+eps+tol")
+    EvalPoint(sigma_hi)
 
     if sigma_lo is None:
         floor = 1.0 + eps + tol

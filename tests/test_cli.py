@@ -290,6 +290,15 @@ def test_threads_flag_sampling():
     assert a == b
 
 
+def test_threads_beyond_count_start_no_streams(capsys):
+    # the draws are defined by (seed, threads); threads beyond --count draw
+    # nothing, so 10^12 of them give the output of --count streams at once
+    law = ["sample", "--gen", "oneplusq:2", "--sigma", "2", "--count", "5", "--seed", "5",
+           "--tol", "1e-9", "--max", "16"]
+    huge = run_in_process(["--threads", "1000000000000", *law], capsys)
+    assert huge[0] == 0 and huge == run_in_process(["--threads", "5", *law], capsys)
+
+
 # sha256 (first 16 hex digits) of each subcommand's stdout, read before the
 # subcommands returned their rows to main.  Floats are compared at 12
 # significant digits: float outputs are reproducible bit for bit only on the
@@ -456,7 +465,8 @@ def test_coefficient_beyond_float_range_is_one_error_line(tmp_path, argv, capsys
     rc = cli.main([argv[0], "--gen", str(path), *argv[1:]])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "OverflowError"
+    err = json.loads(captured.err)
+    assert err["error"] == "OverflowError" and "a(2)" in err["message"]
 
 
 def test_manifest_records_only_tolerances_used(tmp_path, capsys):

@@ -168,6 +168,13 @@ class TestSample:
         assert np.array_equal(x1, x2)
         assert len(x1) == 999
 
+    def test_workers_beyond_count_draw_nothing(self):
+        # streams i >= count draw nothing: 10^12 workers are 5 streams, built
+        # without a list of 10^12 entries
+        d = build_distribution(gen("oneplusq:2", 16), 2.0, 1e-12)
+        assert np.array_equal(sample(d, 5, 1, workers=10**12), sample(d, 5, 1, workers=5))
+        assert sample(d, 0, 1, workers=10**12).size == 0
+
     def test_two_point_frequencies(self):
         d = build_distribution(gen("oneplusq:2", 16), 2.0, 1e-12)
         n = 10**6

@@ -25,6 +25,7 @@ from zetadist import (
     quasi_levy_measure,
     sample,
     von_mangoldt,
+    zeroscan,
 )
 from zetadist.dist import moments_tail_spread
 
@@ -88,6 +89,20 @@ def test_every_real_argument_is_checked(entry, arg, call, value):
     expected = ValueError if entry == "GrowthBound" or arg == "growth" else DomainError
     with pytest.raises(expected):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_sigma0(SCAN, T=10.0, sigma_hi=INF, tol=1e-3),
+    lambda: classify(SCAN, SCAN_LAM, T=10.0, sigma_hi=INF),
+], ids=["estimate_sigma0", "classify"])
+def test_infinite_sigma_hi_is_refused_before_any_count(call, monkeypatch):
+    # the message names the argument passed, not a strip built from it
+    def no_count(*args, **kwargs):
+        raise AssertionError("a zero count ran")
+
+    monkeypatch.setattr(zeroscan, "count_zeros", no_count)
+    with pytest.raises(DomainError, match=r"sigma=inf and t=0.0 must be finite"):
+        call()
 
 
 def test_open_gates_stay_valid():

@@ -9,10 +9,12 @@ from zetadist import (
     CharacteristicCheck,
     ContourError,
     DomainError,
+    EvalPoint,
     HypothesisViolationError,
     classify,
     compound_poisson_cf,
     evaluate_cf,
+    evaluate_log_series,
     observed_decay_abscissa,
     quasi_levy_measure,
     validate_characteristic,
@@ -107,6 +109,17 @@ class TestCompoundPoisson:
         got = compound_poisson_cf(m, 1.0, Fraction(1))
         want = (1.0 + 2.0 ** complex(-2.0, -1.0)) / (1.0 + 0.25)
         assert abs(got - want) < 1e-10
+
+    @pytest.mark.parametrize("family", ["absmu", "ezstar"])
+    def test_matches_exp_of_log_series(self, family):
+        # exp(sum mass (n^{-it} - 1)) = exp(G(sigma+it) - G(sigma)) with G the
+        # log series at the same truncation: the two public routes agree
+        lam = von_mangoldt(gen(family, 4096))
+        m = quasi_levy_measure(lam, 2.5)
+        g0 = evaluate_log_series(lam, Fraction(1), EvalPoint(2.5)).value
+        for t in (-7.0, 0.5, 1.0, 3.0, 10.0, 40.0):
+            g = evaluate_log_series(lam, Fraction(1), EvalPoint(2.5, t)).value
+            assert abs(compound_poisson_cf(m, t, Fraction(1)) - np.exp(g - g0)) <= 1e-12, t
 
     def test_nonnegative_masses_give_contraction(self):
         lam = von_mangoldt(gen("dk:2", 512))

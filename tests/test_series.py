@@ -22,7 +22,7 @@ from zetadist import (
     von_mangoldt,
 )
 from zetadist.arith import ArithmeticFunction, MangoldtSequence, LogLinear, primes_up_to
-from zetadist.series import _partial_sum, derivative_growth, evaluate_series_batch, smallest_n
+from zetadist.series import _partial_sum, _weights, derivative_growth, evaluate_series_batch, smallest_n
 
 from conftest import ZETA2, ZETA2_POINT, direct_zeta, gen
 
@@ -156,12 +156,11 @@ class TestEvaluate:
     def test_kernel_sparse_mangoldt(self):
         # log series terms A(n)/log n on the nonzero A(n) only
         lam = von_mangoldt(gen("ezstar", 2000))
-        ns, vals = lam.float_arrays()
-        ln = np.log(ns.astype(np.float64))
-        coeffs = list(vals / ln)
+        ns, ln, coef = lam.float_arrays()
+        coeffs = list(coef)
         pts = _points(15)
         want, bound = _oracle(coeffs, ns.tolist(), pts, 2)
-        assert np.all(np.abs(_partial_sum(vals / ln, ln, pts, 2) - want) <= bound)
+        assert np.all(np.abs(_partial_sum(coef, ln, pts, 2) - want) <= bound)
         g = evaluate_log_series(lam, Fraction(1), EvalPoint(pts[3].real, pts[3].imag))
         assert abs(g.value - want[0, 3]) <= bound[0, 3]
         # moments: mean is row 1 and variance row 2 at the real point sigma
@@ -169,6 +168,24 @@ class TestEvaluate:
         mean, variance = moments_analytic(lam, 2.5)
         assert abs(mean - want[1, 0].real) <= bound[1, 0]
         assert abs(variance - want[2, 0].real) <= bound[2, 0]
+
+    def test_float_arrays_are_the_log_coefficients(self):
+        # (n, log n, A(n)/log n), built once and shared by every reader
+        lam = von_mangoldt(gen("ezstar", 2000))
+        ns, ln, coef = lam.float_arrays()
+        assert lam.float_arrays()[2] is coef
+        assert ns.tolist() == [n for n, _ in lam.nonzeros()]
+        assert np.array_equal(ln, np.log(ns.astype(np.float64)))
+        exact = np.array([v.evaluate() for _, v in lam.nonzeros()])
+        assert np.all(np.abs(coef * ln - exact) <= 4 * np.spacing(np.abs(exact)))
+
+    def test_weights_are_the_law_terms(self):
+        fn = gen("ezstar", 500)
+        c, ln = fn.float_coeffs(), fn.log_n()
+        for sigma in (1.5, 2.0, 3.7):
+            w = _weights(c, ln, sigma)
+            assert np.array_equal(w, c * np.exp(-sigma * ln))
+            assert not np.shares_memory(w, c)
 
     def test_kernel_empty_arrays_sum_to_zero(self):
         empty = np.empty(0)

@@ -155,18 +155,27 @@ class TestZeroFreeWindows:
             assert rep.certified and rep.winding == 0, name
 
 
+T_FAR = 220635 * math.pi / math.log(2.0)  # 999997.2798920429, k = 110317
+
+
 class TestLocalize:
     def test_isolates_the_engineered_zero(self, engineered):
         from zetadist import localize_zeros
 
-        boxes = localize_zeros(engineered, Rectangle(1.6, 2.4, 4.0, 5.0), min_size=0.02)
-        assert len(boxes) == 1
-        box = boxes[0]
-        assert box.certified and box.winding == 1
-        r = box.rectangle
-        assert r.sigma_min <= 2.0 <= r.sigma_max
-        assert r.t_min <= T_ZERO <= r.t_max
-        assert max(r.sigma_max - r.sigma_min, r.t_max - r.t_min) <= 0.02
+        for rect, min_size, zero in (
+            (Rectangle(1.6, 2.4, 4.0, 5.0), 0.02, T_ZERO),
+            (Rectangle(1.6, 2.4, 4.0, 5.0), 1e-6, T_ZERO),
+            (Rectangle(1.6, 2.4, 4.0, 5.0), 1e-9, T_ZERO),
+            (Rectangle(1.6, 2.4, T_FAR - 0.4, T_FAR + 0.6), 1e-6, T_FAR),
+        ):
+            boxes = localize_zeros(engineered, rect, min_size=min_size)
+            assert len(boxes) == 1, min_size
+            box = boxes[0]
+            assert box.certified and box.winding == 1, min_size
+            r = box.rectangle
+            assert r.sigma_min <= 2.0 <= r.sigma_max
+            assert r.t_min <= zero <= r.t_max
+            assert max(r.sigma_max - r.sigma_min, r.t_max - r.t_min) <= min_size
 
     def test_empty_region_returns_nothing(self, engineered):
         from zetadist import localize_zeros
@@ -181,6 +190,29 @@ class TestLocalize:
         assert sum(b.winding for b in boxes) == 2
         centers = sorted(0.5 * (b.rectangle.t_min + b.rectangle.t_max) for b in boxes)
         assert abs(centers[0] + T_ZERO) < 0.1 and abs(centers[1] - T_ZERO) < 0.1
+
+    # an uncertified box is split once more; a child that still fails is a
+    # leaf, so a min_size below the float spacing ends in a few leaves
+    @pytest.mark.parametrize("rect, min_size, zero", [
+        (Rectangle(1.6, 2.4, 4.0, 5.0), 1e-300, T_ZERO),
+        (Rectangle(1.6, 2.4, -5.0, -4.0), 1e-300, -T_ZERO),
+        (Rectangle(1.6, 2.4, T_FAR - 0.4, T_FAR + 0.6), 1e-9, T_FAR),
+    ], ids=["t4.5-1e-300", "conjugate-1e-300", "t1e6-1e-9"])
+    def test_uncertified_boxes_end_in_few_leaves(self, engineered, rect, min_size, zero, monkeypatch):
+        from zetadist import localize_zeros, zeroscan
+
+        count, calls = zeroscan.count_zeros, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(zeroscan, "count_zeros", counted)
+        boxes = localize_zeros(engineered, rect, min_size)
+        assert 1 <= len(boxes) <= 8 and len(calls) < 1000
+        assert not all(b.certified for b in boxes)
+        assert any(b.rectangle.sigma_min <= 2.0 <= b.rectangle.sigma_max
+                   and b.rectangle.t_min <= zero <= b.rectangle.t_max for b in boxes)
 
 
 class TestSigma0:
