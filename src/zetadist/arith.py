@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, truediv
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError, InvalidLengthError, NonInvertibleError, ResourceLimitError
 
@@ -30,14 +31,18 @@ RationalLike = Union[Fraction, int, str]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_NUMERATOR = attrgetter("numerator")
-_DENOMINATOR = attrgetter("denominator")
-
 
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _float_or_nan(x: Fraction) -> float:
+    try:
+        return x.numerator / x.denominator  # correctly rounded, as float(x)
+    except OverflowError:
+        return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +294,13 @@ def n_cap() -> int:
         raise DomainError(f"ZETADIST_MAX_N={raw!r} is not an integer") from None
 
 
+def _check_length(N: int) -> None:
+    if N < 1:
+        raise InvalidLengthError("need at least a(1)")
+    if N > n_cap():
+        raise ResourceLimitError(f"{N} coefficients exceed the cap {n_cap()}")
+
+
 @dataclass(frozen=True)
 class GrowthBound:
     """Certificate |a(n)| <= C * n^eps valid for every n >= 1."""
@@ -310,18 +322,20 @@ class ArithmeticFunction:
     ``growth`` certifies |a(n)| <= C n^eps for the *entire* (infinite)
     sequence, which is what makes truncation-tail bounds possible downstream.
     ``support_limit`` marks sequences known to vanish beyond that index, in
-    which case tails are exactly zero.  ``multiplicative`` certifies that
+    which case tails are exactly zero; it must be a positive int that no
+    stored nonzero a(n) contradicts.  ``multiplicative`` certifies that
     a(n)/a(1) is multiplicative, so ``von_mangoldt`` may work on prime powers
-    alone.  ``float_view`` certifies that a float64 array equals
-    ``float(a(n))`` for every n, bit for bit (sign bit included); it is then
-    the float view itself, made read-only, instead of one converted lazily.
-    Like ``growth``, both certificates are vouched for by the caller, not
-    checked (only the view's length is), and neither is serialised.
-    Instances are immutable; the lazy float views are idempotent, so a
-    concurrent first use is benign.
+    alone; like ``growth`` it is vouched for by the caller and not
+    serialised.  The store is a(n) = values[index[n-1]]: built from
+    ``coeffs``, the table is ``coeffs`` and the index ``arange(N)``; a
+    generator stores each distinct value once (``_built``).  A float or sign
+    is computed once per table value and gathered through the index.
+    Instances are immutable; the lazy caches are idempotent, so a concurrent
+    first use is benign.
     """
 
-    __slots__ = ("coeffs", "growth", "name", "support_limit", "multiplicative", "_float_cache", "_logn_cache")
+    __slots__ = ("_values", "_index", "growth", "name", "support_limit", "multiplicative",
+                 "_coeffs_cache", "_sign_cache", "_float_cache", "_logn_cache")
 
     def __init__(
         self,
@@ -330,103 +344,120 @@ class ArithmeticFunction:
         name: str = "",
         support_limit: Optional[int] = None,
         multiplicative: bool = False,
-        *,
-        float_view=None,
     ):
         vals = tuple(coeffs)
-        if len(vals) < 1:
-            raise InvalidLengthError("need at least a(1)")
-        if len(vals) > n_cap():
-            raise ResourceLimitError(f"{len(vals)} coefficients exceed the cap {n_cap()}")
+        _check_length(len(vals))
         if not set(map(type, vals)) <= {Fraction}:
             vals = tuple(map(_as_fraction, vals))
-        if float_view is not None:
-            import numpy as np
+        self._fill(vals, np.arange(len(vals)), growth, name, support_limit, multiplicative)
+        object.__setattr__(self, "_coeffs_cache", vals)
 
-            float_view = np.asarray(float_view, dtype=np.float64)
-            if float_view.shape != (len(vals),):
-                raise ValueError(f"float view of shape {float_view.shape} for {len(vals)} coefficients")
-            float_view.flags.writeable = False
-        object.__setattr__(self, "coeffs", vals)
-        object.__setattr__(self, "growth", growth)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "support_limit", support_limit)
-        object.__setattr__(self, "multiplicative", multiplicative)
-        object.__setattr__(self, "_float_cache", float_view)
-        object.__setattr__(self, "_logn_cache", None)
+    @classmethod
+    def _built(cls, values: Sequence[Fraction], index: np.ndarray, growth: Optional[GrowthBound], name: str,
+               support_limit: Optional[int] = None, multiplicative: bool = False) -> "ArithmeticFunction":
+        """a(n) = values[index[n-1]] for a table of Fractions a generator
+        built; the index must be a 1-D integer array inside the table."""
+        index = np.asarray(index)
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index of shape {index.shape} and dtype {index.dtype}: need 1-D integers")
+        _check_length(len(index))
+        if index.min() < 0 or index.max() >= len(values):
+            raise ValueError(f"index outside the table of {len(values)} values")
+        obj = object.__new__(cls)
+        obj._fill(tuple(values), index, growth, name, support_limit, multiplicative)
+        return obj
+
+    def _fill(self, values, index, growth, name, support_limit, multiplicative) -> None:
+        index.flags.writeable = False
+        for slot, value in (("_values", values), ("_index", index), ("growth", growth), ("name", name),
+                            ("multiplicative", multiplicative), ("support_limit", None),
+                            ("_coeffs_cache", None), ("_sign_cache", None), ("_float_cache", None),
+                            ("_logn_cache", None)):
+            object.__setattr__(self, slot, value)
+        if support_limit is not None:
+            if type(support_limit) is not int or support_limit < 1:
+                raise ValueError(f"finite support {support_limit!r} is not a positive integer")
+            if support_limit < len(index):
+                beyond = np.flatnonzero(self._signs()[index[support_limit:]])
+                if beyond.size:
+                    n = support_limit + 1 + int(beyond[0])
+                    raise ValueError(f"a({n}) is nonzero beyond the finite support {support_limit}")
+            object.__setattr__(self, "support_limit", support_limit)
 
     def __setattr__(self, key, value):  # immutability outside the caches
         raise AttributeError("ArithmeticFunction is immutable")
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._index)
 
     def __call__(self, n: int) -> Fraction:
-        if not 1 <= n <= len(self.coeffs):
-            raise IndexError(f"n={n} outside stored range 1..{len(self.coeffs)}")
-        return self.coeffs[n - 1]
+        if not 1 <= n <= len(self._index):
+            raise IndexError(f"n={n} outside stored range 1..{len(self._index)}")
+        return self._values[self._index[n - 1]]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """(a(1), ..., a(N)), built from the table on first use."""
+        cached = self._coeffs_cache
+        if cached is None:
+            cached = tuple(map(self._values.__getitem__, self._index.tolist()))
+            object.__setattr__(self, "_coeffs_cache", cached)
+        return cached
+
+    def _signs(self) -> np.ndarray:
+        """The sign of each table value: its numerator's, as the denominator is positive."""
+        cached = self._sign_cache
+        if cached is None:
+            nums = [v.numerator for v in self._values]
+            cached = np.array([(x > 0) - (x < 0) for x in nums], dtype=np.int8)
+            object.__setattr__(self, "_sign_cache", cached)
+        return cached
 
     def first_negative_index(self) -> Optional[int]:
-        """Least n with a(n) < 0, or None: the package's one sign test.
-        A float view already held is read by its sign bits, which it keeps
-        (a negative a(n) too small for a float reads -0.0); otherwise the
-        Fractions are scanned and no view is built, which would cost an O(N)
-        conversion and raises OverflowError beyond the float range."""
-        view = self._float_cache
-        if view is not None:
-            import numpy as np
+        """Least n with a(n) < 0, or None: the package's one sign test
+        (exact, read off the table's values)."""
+        negative = (self._signs() < 0)[self._index]
+        n = int(negative.argmax())
+        return n + 1 if negative[n] else None
 
-            negative = np.signbit(view)
-            n = int(negative.argmax())
-            return n + 1 if negative[n] else None
-        for i, c in enumerate(self.coeffs):
-            if c < 0:
-                return i + 1
-        return None
+    def nonzero_indices(self) -> list[int]:
+        """The n with a(n) != 0, ascending."""
+        return (np.flatnonzero(self._signs()[self._index]) + 1).tolist()
 
     def satisfies_assumption(self) -> bool:
         """a(1) > 0 and a(n) >= 0 for every stored n (exact check)."""
-        return self.coeffs[0] > 0 and self.first_negative_index() is None
+        return self(1) > 0 and self.first_negative_index() is None
 
     def is_identically_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self._signs()[self._index].any()
 
     # -- float views (cached; shared by the numerical modules) --------------
 
     def float_coeffs(self):
         """float(a(n)) for n = 1..N as a read-only float64 array.
 
-        Without a ``float_view`` certificate each entry is numerator /
-        denominator, the correctly rounded int/int division that
-        ``Fraction.__float__`` performs (so a tiny negative gives -0.0 and an
-        entry beyond the float range raises OverflowError).
+        Each table value is converted once, by the correctly rounded division
+        of its numerator by its denominator that ``float`` performs (so a
+        tiny negative gives -0.0), and gathered through the index.  A value
+        beyond the float range raises OverflowError naming the first n that
+        uses it; a table value that no a(n) uses is never an error.
         """
-        import numpy as np
-
         cached = self._float_cache
         if cached is None:
-            c = self.coeffs
-            try:
-                cached = np.fromiter(
-                    map(truediv, map(_NUMERATOR, c), map(_DENOMINATOR, c)), dtype=np.float64, count=len(c)
-                )
-            except OverflowError:
-                for n, x in enumerate(c, 1):
-                    try:
-                        truediv(x.numerator, x.denominator)
-                    except OverflowError:
-                        raise OverflowError(f"a({n}) lies beyond the float range") from None
-                raise
+            # no Fraction is NaN, so NaN marks a value beyond the float range
+            cached = np.fromiter(map(_float_or_nan, self._values), dtype=np.float64, count=len(self._values))
+            cached = cached[self._index]
+            beyond = np.isnan(cached)
+            if beyond.any():
+                raise OverflowError(f"a({int(beyond.argmax()) + 1}) lies beyond the float range")
             cached.flags.writeable = False
             object.__setattr__(self, "_float_cache", cached)
         return cached
 
     def log_n(self):
-        import numpy as np
-
         cached = self._logn_cache
         if cached is None:
-            cached = np.log(np.arange(1, len(self.coeffs) + 1, dtype=np.float64))
+            cached = np.log(np.arange(1, len(self) + 1, dtype=np.float64))
             object.__setattr__(self, "_logn_cache", cached)
         return cached
 
@@ -461,7 +492,7 @@ class ArithmeticFunction:
 
     def __repr__(self) -> str:
         label = self.name or "arithmetic function"
-        return f"ArithmeticFunction({label!r}, N={len(self.coeffs)})"
+        return f"ArithmeticFunction({label!r}, N={len(self)})"
 
 
 def identity_function(N: int) -> ArithmeticFunction:
@@ -472,20 +503,16 @@ def identity_function(N: int) -> ArithmeticFunction:
     return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name="identity", support_limit=1)
 
 
-def _nonzero_indices(coeffs: Sequence[Fraction]) -> list[int]:
-    return [i + 1 for i, c in enumerate(coeffs) if c != 0]
-
-
 def dirichlet_convolve(a: ArithmeticFunction, b: ArithmeticFunction) -> ArithmeticFunction:
     """c(n) = sum_{d|n} a(d) b(n/d), exact, truncated to min(len(a), len(b))."""
     N = min(len(a), len(b))
     out = [_ZERO] * (N + 1)
-    bnz = _nonzero_indices(b.coeffs[:N])
-    for i in _nonzero_indices(a.coeffs[:N]):
-        ai = a.coeffs[i - 1]
-        limit = N // i
-        for j in bnz[: bisect_right(bnz, limit)]:
-            out[i * j] += ai * b.coeffs[j - 1]
+    anz, bnz = a.nonzero_indices(), b.nonzero_indices()
+    ac, bc = a.coeffs, b.coeffs
+    for i in anz[: bisect_right(anz, N)]:
+        ai = ac[i - 1]
+        for j in bnz[: bisect_right(bnz, N // i)]:
+            out[i * j] += ai * bc[j - 1]
     support = None
     if a.support_limit is not None and b.support_limit is not None:
         prod = a.support_limit * b.support_limit
@@ -502,13 +529,13 @@ def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
     accumulator stayed zero is skipped, so sparse inputs cost only what their
     support demands.
     """
-    N = len(a)
-    a1 = a.coeffs[0]
+    N, coeffs = len(a), a.coeffs
+    a1 = coeffs[0]
     if a1 == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
     inv = [_ZERO] * (N + 1)
     acc = [_ZERO] * (N + 1)
-    anz = [m for m in _nonzero_indices(a.coeffs) if m >= 2]
+    anz = [m for m in a.nonzero_indices() if m >= 2]
     inv_a1 = inv[1] = 1 / a1
     for n in range(1, N + 1):
         if n > 1:
@@ -518,7 +545,7 @@ def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
         v = inv[n]
         limit = N // n
         for m in anz[: bisect_right(anz, limit)]:
-            acc[n * m] += v * a.coeffs[m - 1]
+            acc[n * m] += v * coeffs[m - 1]
     return ArithmeticFunction(inv[1:], name=f"({a.name})^-1")
 
 
@@ -596,8 +623,6 @@ class MangoldtSequence:
         """(n, log n, A(n)/log n) over the nonzero A(n) as numpy arrays, the
         last two in double precision: the Dirichlet coefficients of log Z and
         the logarithms the series kernel needs beside them."""
-        import numpy as np
-
         cached = self._array_cache
         if cached is None:
             ns = np.fromiter(self._nonzero.keys(), dtype=np.int64, count=len(self._nonzero))
@@ -627,14 +652,14 @@ def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
     pushes each A(n) a(m) onto the pending sum of n m and frees that sum once
     consumed.  Both give the same table.
     """
-    N, coeffs = len(a), a.coeffs
-    if coeffs[0] == 0:
+    if a(1) == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
     if a.multiplicative:
         return _mangoldt_prime_powers(a)
+    N, coeffs = len(a), a.coeffs
     minus_inv_a1 = -1 / coeffs[0]
     spf = smallest_factor_sieve(N)
-    anz = [m for m in _nonzero_indices(coeffs) if m >= 2]
+    anz = [m for m in a.nonzero_indices() if m >= 2]
     pending: dict[int, dict[int, Fraction]] = {}  # n -> sum_{1<d<n, d|n} A(d) a(n/d)
     nonzero: list[tuple[int, LogLinear]] = []
     for n in range(2, N + 1):
@@ -662,16 +687,21 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
     whose powers a vanishes contribute nothing and are skipped.
     """
     N = len(a)
-    coeffs = a.coeffs
-    a1 = coeffs[0]
-    nonzero: list[tuple[int, LogLinear]] = []
-    for p in primes_up_to(N):
-        powers = []
+    a1 = a(1)
+    primes = primes_up_to(N)
+    powers: list[int] = []  # p, p^2, ... <= N for each prime in turn, from its start
+    starts = []
+    for p in primes:
+        starts.append(len(powers))
         q = p
         while q <= N:
             powers.append(q)
             q *= p
-        b = [coeffs[q - 1] for q in powers]
+    # every a(p^r) in one gather through the index
+    values = list(map(a._values.__getitem__, a._index[np.array(powers, dtype=np.intp) - 1].tolist()))
+    nonzero: list[tuple[int, LogLinear]] = []
+    for p, lo, hi in zip(primes, starts, starts[1:] + [len(powers)]):
+        b = values[lo:hi]
         if not any(b):
             continue
         if a1 != 1:
@@ -682,7 +712,7 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
             for j in range(1, r):
                 cr -= c[j - 1] * b[r - j - 1]
             c.append(cr)
-        for q, cr in zip(powers, c):
+        for q, cr in zip(powers[lo:hi], c):
             if cr:
                 nonzero.append((q, LogLinear._raw(((p, cr),))))
     return MangoldtSequence._built(nonzero, N, "prime-powers")

@@ -33,7 +33,7 @@ SAMPLE_TAIL_GATE = 1e-12
 
 def _check_assumption(a: ArithmeticFunction) -> None:
     """a(1) > 0 and a(n) >= 0 (``ArithmeticFunction.first_negative_index``)."""
-    if a.coeffs[0] <= 0:
+    if a(1) <= 0:
         raise NotDistributionError("a(1) must be positive to define a distribution")
     n = a.first_negative_index()
     if n is not None:
@@ -79,7 +79,7 @@ def build_distribution(
 
     # every weight is nonnegative, so Z_n >= a(1) for every n: an N whose
     # tail is within tol of a(1) is sound, and it needs no weights
-    a1 = float(a.coeffs[0])
+    a1 = float(a(1))
     N = smallest_n(lambda n: _tail_for(a, sigma, n, 0) / a1 <= tol, 1, len(a)) if a1 > 0.0 else None
     if N is not None:
         weights = _weights(a.float_coeffs()[:N], a.log_n()[:N], sigma)
@@ -126,8 +126,10 @@ def moments_direct(d: ZetaDistribution) -> tuple[float, float]:
     """(mean, variance) of the stored truncated law:
     mean = sum pmf(n) (-log n), variance = E[X^2] - (E[X])^2."""
     x = d.positions()
-    mean = float((d.pmf * x).sum())
-    second = float((d.pmf * x * x).sum())
+    px = d.pmf * x
+    mean = float(px.sum())
+    px *= x  # in place: pmf x^2 without a third N-float array
+    second = float(px.sum())
     return mean, second - mean * mean
 
 

@@ -20,7 +20,6 @@ from .arith import (
     factorize,
     n_cap,
     primes_up_to,
-    smallest_factor_sieve,
 )
 from .errors import (
     DomainError,
@@ -137,35 +136,24 @@ def divisor_growth_constant(k: int) -> float:
     return C
 
 
-def _from_exponents(N: int, f) -> list[int]:
-    """a(1..N) of the integer-valued multiplicative a with a(p^e) = f(e) for
-    every prime p.
-
-    One pass over the smallest-factor sieve: n = p^e m with p = spf(n) and
-    p not dividing m, so a(n) = a(m) f(e).
-    """
-    spf = smallest_factor_sieve(N)
-    table = [f(e) for e in range(N.bit_length())]
-    vals = [0] * (N + 1)
-    vals[1] = 1
-    for n in range(2, N + 1):
-        p = spf[n]
-        m, e = n // p, 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        vals[n] = vals[m] * table[e]
-    del vals[0]
-    return vals
-
-
-def _exact(N: int, default: Fraction, other: Fraction, where: np.ndarray) -> tuple[Fraction, ...]:
-    """a(1..N) equal to ``other`` at the 0-based indices ``where`` and to
-    ``default`` elsewhere, as a tuple that shares these two objects."""
-    coeffs = [default] * N
-    for i in where.tolist():
-        coeffs[i] = other
-    return tuple(coeffs)
+def _divisor_table(N: int, k: int) -> np.ndarray:
+    """d_k(1..N) by a sieve: d_k(p^e) = C(e+k-1, k-1) for the primes p <=
+    sqrt(N), times k for the one prime, if any, left of n after them.  Float64
+    products are exact below 2^53 and never wrap round, so a table below 2^53
+    is exact."""
+    f = np.array([comb(e + k - 1, k - 1) for e in range(N.bit_length() + 1)], dtype=np.float64)
+    vals = np.ones(N + 1)
+    rest = np.arange(N + 1)
+    for p in primes_up_to(isqrt(N)):
+        e = np.ones(N // p, dtype=np.intp)  # the exponent of p in p j, for j = 1..N // p
+        powers = [1, p]
+        while powers[-1] <= N // p:
+            e[powers[-1] - 1 :: powers[-1]] += 1
+            powers.append(powers[-1] * p)
+        vals[p::p] *= f[e]
+        rest[p::p] //= np.array(powers)[e]
+    vals[rest > 1] *= f[1]
+    return vals[1:]
 
 
 def generate(spec: GeneratorSpec) -> ArithmeticFunction:
@@ -173,19 +161,17 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
 
     Every family except ezstar, and one-plus-q when q is not a prime power,
     is multiplicative and comes back marked so.  Every family except power
-    builds its float view with numpy from the same data as its exact values
-    (small integers, 1/2 or the one-plus-q mass), and the exact values share
-    one ``Fraction`` object per distinct value.
+    is built as a short table of its distinct values and an index array,
+    a(n) = values[index[n-1]]; power keeps one value per n.
     """
     N = spec.length
     name = spec.cli_name()
     one = Fraction(1)
     zero = Fraction(0)
+    unit = GrowthBound(1.0, 0.0)
 
     if spec.kind == "ones":
-        return ArithmeticFunction(
-            (one,) * N, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True, float_view=np.ones(N)
-        )
+        return ArithmeticFunction._built((one,), np.zeros(N, dtype=np.uint8), unit, name, multiplicative=True)
 
     if spec.kind == "power":
         alpha = spec.alpha
@@ -195,37 +181,29 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
             )
         e = -int(alpha)
         coeffs = tuple(Fraction(1, n**e) for n in range(1, N + 1))
-        return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name=name, multiplicative=True)
+        return ArithmeticFunction(coeffs, growth=unit, name=name, multiplicative=True)
 
     if spec.kind == "divisor":
-        k = spec.k
-        vals = _from_exponents(N, lambda e: comb(e + k - 1, k - 1))
-        C = divisor_growth_constant(k)
-        shared = {v: Fraction(v) for v in set(vals)}
-        return ArithmeticFunction(
-            tuple(map(shared.__getitem__, vals)),
-            growth=GrowthBound(C, DIVISOR_GROWTH_EPS),
-            name=name,
-            multiplicative=True,
-            float_view=np.array(vals, dtype=np.float64),  # d_k(n) < 2^53: exact
-        )
+        C = divisor_growth_constant(spec.k)
+        table = _divisor_table(N, spec.k)
+        values = np.unique(table)  # a sort and a binary search: return_inverse's argsort is slow on repeats
+        assert values[-1] < 2**53, f"d_{spec.k}(n) reaches {values[-1]:.3g}, beyond exact float64 integers"
+        return ArithmeticFunction._built([Fraction(int(v)) for v in values], np.searchsorted(values, table),
+                                         GrowthBound(C, DIVISOR_GROWTH_EPS), name, multiplicative=True)
 
     if spec.kind == "one-plus-q":
         q, c = spec.q, spec.c if spec.c is not None else one
-        coeffs = [zero] * N
-        coeffs[0] = one
-        view = np.zeros(N)
-        view[0] = 1.0
+        index = np.zeros(N, dtype=np.uint8)
+        index[0] = 1
         if q <= N:
-            coeffs[q - 1] = c
-            view[q - 1] = float(c)
-        return ArithmeticFunction(
-            coeffs,
-            growth=GrowthBound(max(1.0, float(c)), 0.0),
-            name=name,
+            index[q - 1] = 2
+        return ArithmeticFunction._built(
+            (zero, one, c),
+            index,
+            GrowthBound(max(1.0, float(c)), 0.0),
+            name,
             support_limit=q,
             multiplicative=len(factorize(q)) == 1,  # q a prime power
-            float_view=view,
         )
 
     if spec.kind == "abs-moebius":
@@ -233,23 +211,10 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
         squarefree = np.ones(N + 1, dtype=bool)
         for p in primes_up_to(isqrt(N)):
             squarefree[p * p :: p * p] = False
-        flags = squarefree[1:]
-        return ArithmeticFunction(
-            _exact(N, one, zero, np.flatnonzero(~flags)),
-            growth=GrowthBound(1.0, 0.0),
-            name=name,
-            multiplicative=True,
-            float_view=flags.astype(np.float64),
-        )
+        return ArithmeticFunction._built((zero, one), squarefree[1:].view(np.uint8), unit, name, multiplicative=True)
 
     # euler-zagier-star: 1 on perfect squares, 1/2 otherwise
+    index = np.zeros(N, dtype=np.uint8)
     roots = np.arange(1, isqrt(N) + 1)
-    squares = roots * roots - 1
-    view = np.full(N, 0.5)
-    view[squares] = 1.0
-    return ArithmeticFunction(
-        _exact(N, Fraction(1, 2), one, squares),
-        growth=GrowthBound(1.0, 0.0),
-        name=name,
-        float_view=view,
-    )
+    index[roots * roots - 1] = 1
+    return ArithmeticFunction._built((Fraction(1, 2), one), index, unit, name)

@@ -98,7 +98,7 @@ def validate_characteristic(a: ArithmeticFunction) -> CharacteristicCheck:
     """
     if a.growth is None:
         raise HypothesisViolationError("needs a growth certificate")
-    if a.coeffs[0] < 0:
+    if a(1) < 0:
         raise HypothesisViolationError("needs a(1) >= 0")
     if a.is_identically_zero():
         raise HypothesisViolationError("all stored coefficients are zero")

@@ -212,6 +212,20 @@ class TestSerialization:
         assert back.growth == GrowthBound(2.0, 0.5)
         assert back.support_limit == 2
 
+    @pytest.mark.parametrize("limit", (0, -3, 2.5, "x", True))
+    def test_finite_support_is_a_positive_int(self, limit):
+        with pytest.raises(ValueError, match="finite support"):
+            ArithmeticFunction([1, 0, 0], support_limit=limit)
+
+    def test_finite_support_contradicted_by_the_data(self):
+        with pytest.raises(ValueError, match=r"a\(3\) is nonzero beyond the finite support 2"):
+            ArithmeticFunction([1, 1, 1, 1], growth=GrowthBound(1.0, 0.0), support_limit=2)
+        with pytest.raises(ValueError, match=r"a\(2\)"):
+            ArithmeticFunction.from_json_obj({"coeffs": [["1", "1"], ["1", "2"]], "finite_support": 1})
+        # zeros beyond the limit, or a limit beyond the stored range, agree with the data
+        assert ArithmeticFunction([1, 1, 0, 0], support_limit=2).support_limit == 2
+        assert ArithmeticFunction([1, 1], support_limit=5).support_limit == 5
+
     def test_schema_shape(self, ones64):
         import json
 

@@ -423,6 +423,18 @@ def test_dist_with_underflowing_a1(tmp_path, capsys):
     assert len(pmf) == 3 and pmf[0] == 0.0 and abs(sum(pmf) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("limit", (2, 0, -3, 2.5, "x"))
+def test_bad_finite_support_is_a_malformed_file(tmp_path, limit, capsys):
+    path = tmp_path / "support.json"
+    obj = json.loads(ArithmeticFunction([1, 1, 1, 1], growth=GrowthBound(1.0, 0.0)).to_json())
+    path.write_text(json.dumps({**obj, "finite_support": limit}))
+    rc = cli.main(["eval", "--gen", str(path), "--sigma", "2", "--tol", "1e-6"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError" and "malformed function file" in err["message"]
+
+
 def test_length_above_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("ZETADIST_MAX_N", "1000")
     assert run_in_process(["gen", "--gen", "ones", "--max", "1000"], capsys)[0] == 0

@@ -1,6 +1,5 @@
-"""Float views: the closed-form views the generators build, the general
-route of ``float_coeffs`` (the oracle), the ``float_view=`` certificate and
-the sign test read off the view's sign bits."""
+"""Float views: the table-and-index store the generators build, the
+general route of ``float_coeffs`` (the oracle) and the exact sign test."""
 import hashlib
 import warnings
 from fractions import Fraction
@@ -9,7 +8,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from zetadist import NotCharacteristicWarning, NotDistributionError
+from zetadist import InvalidLengthError, NotCharacteristicWarning, NotDistributionError
 from zetadist.arith import ArithmeticFunction, GrowthBound
 from zetadist.dist import build_distribution
 from zetadist.levy import validate_characteristic
@@ -53,8 +52,14 @@ def assert_same_bits(view: np.ndarray, ref: np.ndarray) -> None:
 @pytest.mark.parametrize("name", CLOSED_FORM)
 def test_closed_form_view_equals_float_of_coeffs(name, N):
     fn = gen(name, N)
-    assert fn._float_cache is not None  # built by the generator, not lazily
     assert_same_bits(fn.float_coeffs(), reference_view(fn.coeffs))
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_table_view_equals_the_one_value_per_n_view(name, N):
+    fn = gen(name, N)
+    assert_same_bits(fn.float_coeffs(), ArithmeticFunction(fn.coeffs).float_coeffs())
 
 
 @pytest.mark.parametrize("N", SIZES)
@@ -91,15 +96,33 @@ def test_both_routes_are_read_only():
         assert view[0] == 1.0
 
 
-def test_float_view_certificate():
-    view = np.array([1.0, 0.5, 0.25])
-    fn = ArithmeticFunction([1, Fraction(1, 2), Fraction(1, 4)], float_view=view)
-    assert fn.float_coeffs() is view and not view.flags.writeable
+@pytest.mark.parametrize("index", (np.array([0, -1]), np.array([0, 2]), np.zeros((2, 1), dtype=np.int64),
+                                   np.zeros(2), np.zeros(2, dtype=bool)),
+                         ids=("negative", "beyond", "2-D", "float", "bool"))
+def test_built_refuses_an_index_outside_the_table(index):
+    with pytest.raises(ValueError, match="index"):
+        ArithmeticFunction._built((Fraction(1), Fraction(2)), index, None, "")
+
+
+def test_built_refuses_an_empty_index():
+    with pytest.raises(InvalidLengthError):
+        ArithmeticFunction._built((Fraction(1),), np.array([], dtype=np.int64), None, "")
+
+
+def test_built_index_is_read_only_and_gathers():
+    fn = ArithmeticFunction._built((Fraction(1, 2), Fraction(3)), np.array([1, 0, 0, 1]), None, "")
+    assert fn.coeffs == (3, Fraction(1, 2), Fraction(1, 2), 3) and fn(4) == 3 and len(fn) == 4
     with pytest.raises(ValueError):
-        ArithmeticFunction([1, 1, 1], float_view=np.ones(2))
-    with pytest.raises(ValueError):
-        ArithmeticFunction([1, 1], float_view=np.ones((2, 1)))
-    assert "float_view" not in fn.to_json()
+        fn._index[0] = 0
+
+
+def test_unused_value_beyond_float_range_is_never_read():
+    table = (Fraction(1), Fraction(10**400), Fraction(1, 2))
+    fn = ArithmeticFunction._built(table, np.array([0, 2, 2, 0]), None, "")
+    assert fn.float_coeffs().tolist() == [1.0, 0.5, 0.5, 1.0]
+    used = ArithmeticFunction._built(table, np.array([0, 2, 1, 1]), None, "")
+    with pytest.raises(OverflowError, match=r"a\(3\)"):
+        used.float_coeffs()
 
 
 def test_fraction_input_is_kept_and_other_input_converted():
