@@ -325,13 +325,12 @@ class ArithmeticFunction:
     which case tails are exactly zero; it must be a positive int that no
     stored nonzero a(n) contradicts.  ``multiplicative`` certifies that
     a(n)/a(1) is multiplicative, so ``von_mangoldt`` may work on prime powers
-    alone; like ``growth`` it is vouched for by the caller and not
-    serialised.  The store is a(n) = values[index[n-1]]: built from
-    ``coeffs``, the table is ``coeffs`` and the index ``arange(N)``; a
-    generator stores each distinct value once (``_built``).  A float or sign
-    is computed once per table value and gathered through the index.
-    Instances are immutable; the lazy caches are idempotent, so a concurrent
-    first use is benign.
+    alone; only ``generate`` sets it (``_built``), and it is not serialised.
+    The store is a(n) = values[index[n-1]]: built from ``coeffs``, the table
+    is ``coeffs`` and the index ``_arange_index(N)``; a generator stores each
+    distinct value once.  A float or sign is computed once per table value
+    and gathered through the index.  Instances are immutable; the lazy caches
+    are idempotent, so a concurrent first use is benign.
     """
 
     __slots__ = ("_values", "_index", "growth", "name", "support_limit", "multiplicative",
@@ -343,20 +342,20 @@ class ArithmeticFunction:
         growth: Optional[GrowthBound] = None,
         name: str = "",
         support_limit: Optional[int] = None,
-        multiplicative: bool = False,
     ):
         vals = tuple(coeffs)
         _check_length(len(vals))
         if not set(map(type, vals)) <= {Fraction}:
             vals = tuple(map(_as_fraction, vals))
-        self._fill(vals, np.arange(len(vals)), growth, name, support_limit, multiplicative)
+        self._fill(vals, _arange_index(len(vals)), growth, name, support_limit, False)
         object.__setattr__(self, "_coeffs_cache", vals)
 
     @classmethod
     def _built(cls, values: Sequence[Fraction], index: np.ndarray, growth: Optional[GrowthBound], name: str,
                support_limit: Optional[int] = None, multiplicative: bool = False) -> "ArithmeticFunction":
         """a(n) = values[index[n-1]] for a table of Fractions a generator
-        built; the index must be a 1-D integer array inside the table."""
+        built; the index must be a 1-D integer array inside the table.  The
+        one constructor that takes the ``multiplicative`` mark."""
         index = np.asarray(index)
         if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
             raise ValueError(f"index of shape {index.shape} and dtype {index.dtype}: need 1-D integers")
@@ -495,12 +494,17 @@ class ArithmeticFunction:
         return f"ArithmeticFunction({label!r}, N={len(self)})"
 
 
+def _arange_index(N: int) -> np.ndarray:
+    """0..N-1 in the narrowest unsigned dtype that holds N-1."""
+    return np.arange(N, dtype=np.min_scalar_type(N - 1))
+
+
 def identity_function(N: int) -> ArithmeticFunction:
     """The convolution identity: 1 at n=1, 0 elsewhere."""
-    if N < 1:
-        raise InvalidLengthError(f"invalid length {N}")
-    coeffs = [_ONE] + [_ZERO] * (N - 1)
-    return ArithmeticFunction(coeffs, growth=GrowthBound(1.0, 0.0), name="identity", support_limit=1)
+    _check_length(N)  # before anything of length N is allocated
+    index = np.zeros(N, dtype=np.uint8)
+    index[0] = 1
+    return ArithmeticFunction._built((_ZERO, _ONE), index, GrowthBound(1.0, 0.0), "identity", support_limit=1)
 
 
 def dirichlet_convolve(a: ArithmeticFunction, b: ArithmeticFunction) -> ArithmeticFunction:
@@ -521,32 +525,46 @@ def dirichlet_convolve(a: ArithmeticFunction, b: ArithmeticFunction) -> Arithmet
     return ArithmeticFunction(out[1:], name=f"({a.name}*{b.name})", support_limit=support)
 
 
-def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
-    """The convolution inverse, by forward elimination.
-
-    inv(1) = 1/a(1) and inv(n) = -(1/a(1)) sum_{d|n, d<n} inv(d) a(n/d); the
-    sieve pushes each finished inv(d) onto its multiples, and an index whose
-    accumulator stayed zero is skipped, so sparse inputs cost only what their
-    support demands.
-    """
+def _eliminate(a: ArithmeticFunction, rhs: Iterator[tuple[int, Sequence[tuple[int, Fraction]]]]
+               ) -> Iterator[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """Solve X * a = r by forward elimination, X(n) = (r(n) - sum_{d|n, d<n}
+    X(d) a(n/d)) / a(1), given a(1) != 0.  r(n) and X(n) are sparse maps
+    {key: Fraction} as sorted pairs: ``rhs`` gives (n, r(n)) for each nonzero
+    r(n), n ascending, and (n, X(n)) is yielded for each nonzero X(n).  Each
+    X(n) a(m), m >= 2, is pushed onto the pending sum of n m, freed once
+    consumed; an index with nothing pending and r(n) = 0 costs nothing."""
     N, coeffs = len(a), a.coeffs
-    a1 = coeffs[0]
-    if a1 == 0:
-        raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
-    inv = [_ZERO] * (N + 1)
-    acc = [_ZERO] * (N + 1)
+    minus_inv_a1 = -1 / coeffs[0]
     anz = [m for m in a.nonzero_indices() if m >= 2]
-    inv_a1 = inv[1] = 1 / a1
+    pending: dict[int, dict[int, Fraction]] = {}  # n -> sum_{d|n, d<n} X(d) a(n/d)
+    n_r, r = next(rhs, (0, ()))
     for n in range(1, N + 1):
-        if n > 1:
-            if not acc[n]:
-                continue  # inv(n) = 0: nothing to compute or push
-            inv[n] = -acc[n] * inv_a1
-        v = inv[n]
-        limit = N // n
-        for m in anz[: bisect_right(anz, limit)]:
-            acc[n * m] += v * coeffs[m - 1]
-    return ArithmeticFunction(inv[1:], name=f"({a.name})^-1")
+        acc = pending.pop(n, None)
+        if n == n_r:
+            acc = acc or {}
+            for k, v in r:
+                acc[k] = acc.get(k, _ZERO) - v
+            n_r, r = next(rhs, (0, ()))
+        elif acc is None:
+            continue
+        terms = tuple((k, v * minus_inv_a1) for k, v in sorted(acc.items()) if v)
+        if not terms:
+            continue
+        yield n, terms
+        for m in anz[: bisect_right(anz, N // n)]:
+            target = pending.setdefault(n * m, {})
+            for k, v in terms:
+                target[k] = target.get(k, _ZERO) + v * coeffs[m - 1]
+
+
+def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
+    """The convolution inverse, the solution of inv * a = delta by ``_eliminate``."""
+    if a(1) == 0:
+        raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
+    inv = [_ZERO] * len(a)
+    for n, ((_, v),) in _eliminate(a, iter([(1, ((1, _ONE),))])):
+        inv[n - 1] = v
+    return ArithmeticFunction(inv, name=f"({a.name})^-1")
 
 
 def _prime_exponents(n: int, spf: list[int]) -> Iterator[tuple[int, int]]:
@@ -559,14 +577,21 @@ def _prime_exponents(n: int, spf: list[int]) -> Iterator[tuple[int, int]]:
         yield p, e
 
 
+def _twist_terms(a: ArithmeticFunction) -> Iterator[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """(n, ((p, a(n) e), ...)) for each n >= 2 with a(n) != 0: a(n) log n
+    over the p^e exactly dividing n, smallest p first, n ascending."""
+    spf, coeffs = smallest_factor_sieve(len(a)), a.coeffs
+    for n in a.nonzero_indices():
+        if n > 1:
+            yield n, tuple((p, coeffs[n - 1] * e) for p, e in _prime_exponents(n, spf))
+
+
 def log_twist(a: ArithmeticFunction) -> list[LogLinear]:
     """The sequence a(n) * log n as exact LogLinear values, indexed 1..N (entry
     1 is zero), log n expanded over the prime factorization of n."""
-    spf = smallest_factor_sieve(len(a))
     out: list[LogLinear] = [_ZERO_LOGLINEAR] * len(a)
-    for n, c in enumerate(a.coeffs[1:], 2):
-        if c:
-            out[n - 1] = LogLinear._raw(tuple((p, c * e) for p, e in _prime_exponents(n, spf)))
+    for n, terms in _twist_terms(a):
+        out[n - 1] = LogLinear._raw(terms)
     return out
 
 
@@ -582,8 +607,7 @@ class MangoldtSequence:
     __slots__ = ("_nonzero", "N", "route", "_array_cache")
 
     def __init__(self, nonzero: Mapping[int, LogLinear], N: int, route: str = "dense"):
-        if N < 1:
-            raise InvalidLengthError(f"invalid length {N}")
+        _check_length(N)
         if route not in ("prime-powers", "dense"):
             raise ValueError(f"unknown route {route!r}")
         clean = {n: v for n, v in nonzero.items() if not v.is_zero()}
@@ -647,35 +671,17 @@ class MangoldtSequence:
 def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
     """A(n) for 2 <= n <= len(a), exact: the solution of A * a = a log.
 
-    A function marked ``multiplicative`` takes the prime-power route; every
-    other one the dense route, one forward elimination over n = 2..N that
-    pushes each A(n) a(m) onto the pending sum of n m and frees that sum once
-    consumed.  Both give the same table.
+    A function that ``generate`` marked multiplicative takes the prime-power
+    route; every other one the dense route, ``_eliminate`` with the
+    right-hand side a log, as ``dirichlet_inverse`` with delta.  Both routes
+    give the same table.
     """
     if a(1) == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
     if a.multiplicative:
         return _mangoldt_prime_powers(a)
-    N, coeffs = len(a), a.coeffs
-    minus_inv_a1 = -1 / coeffs[0]
-    spf = smallest_factor_sieve(N)
-    anz = [m for m in a.nonzero_indices() if m >= 2]
-    pending: dict[int, dict[int, Fraction]] = {}  # n -> sum_{1<d<n, d|n} A(d) a(n/d)
-    nonzero: list[tuple[int, LogLinear]] = []
-    for n in range(2, N + 1):
-        acc = pending.pop(n, {})
-        if c := coeffs[n - 1]:
-            for p, e in _prime_exponents(n, spf):
-                acc[p] = acc.get(p, _ZERO) - c * e
-        terms = tuple((p, v * minus_inv_a1) for p, v in sorted(acc.items()) if v)
-        if not terms:
-            continue
-        nonzero.append((n, LogLinear._raw(terms)))
-        for m in anz[: bisect_right(anz, N // n)]:
-            target = pending.setdefault(n * m, {})
-            for p, v in terms:
-                target[p] = target.get(p, _ZERO) + v * coeffs[m - 1]
-    return MangoldtSequence._built(nonzero, N, "dense")
+    nonzero = ((n, LogLinear._raw(terms)) for n, terms in _eliminate(a, _twist_terms(a)))
+    return MangoldtSequence._built(nonzero, len(a), "dense")
 
 
 def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .arith import ArithmeticFunction, LogLinear, von_mangoldt
-from .dist import RNG_ALGORITHM, build_distribution, moments_analytic, moments_direct, sample
+from .dist import RNG_ALGORITHM, _check_assumption, build_distribution, moments_analytic, moments_direct, sample
 from .errors import DomainError, ResourceLimitError, ZetadistError
 from .generators import generate, parse_spec
 from .levy import classify, quasi_levy_measure
@@ -102,19 +102,18 @@ class Output(NamedTuple):
 
 
 def _t_values(arg: str) -> list[float]:
-    """Parse --t: single value or start:stop:steps."""
+    """Parse --t: single value or start:stop:steps with steps >= 1."""
     parts = arg.split(":")
     try:
         if len(parts) == 1:
             return [float(parts[0])]
         if len(parts) == 3:
             start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            if steps < 2:
-                return [start]
-            return list(np.linspace(start, stop, steps))
+            if steps >= 1:
+                return list(np.linspace(start, stop, steps))
     except ValueError:
         pass
-    raise DomainError(f"bad --t value {arg!r}: expected t or start:stop:steps")
+    raise DomainError(f"bad --t value {arg!r}: expected t or start:stop:steps with steps >= 1")
 
 
 def _loglinear_str(v: LogLinear) -> str:
@@ -221,6 +220,7 @@ def cmd_dist(args) -> Output:
 
 def cmd_moments(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
+    _check_assumption(fn)  # both methods describe the law, which needs a(1) > 0 and a(n) >= 0
     if args.method == "analytic":
         lam = von_mangoldt(fn)
         mean, var = moments_analytic(lam, args.sigma)

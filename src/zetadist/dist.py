@@ -65,7 +65,8 @@ def build_distribution(
     sigma: float,
     tol: float,
 ) -> ZetaDistribution:
-    """Build the PMF at the smallest truncation with relative tail mass <= tol.
+    """Build the PMF at the smallest truncation N whose relative tail mass
+    tail(N)/Z_N, against its own normalizer Z_N, is <= tol.
 
     Needs a growth certificate (or finite support) to bound the tail; raises
     ResourceLimitError when no truncation within the stored coefficients
@@ -77,26 +78,21 @@ def build_distribution(
     _require_domain(a, sigma, 0)
     _require_tol(tol)
 
-    # every weight is nonnegative, so Z_n >= a(1) for every n: an N whose
-    # tail is within tol of a(1) is sound, and it needs no weights
+    # every weight is nonnegative, so Z_n >= a(1): the first n with
+    # tail(n)/a(1) <= tol caps the weights formed (all of them when there is
+    # none or a(1) underflows); tail(n)/Z_n falls as n grows, so N is bisected
     a1 = float(a(1))
-    N = smallest_n(lambda n: _tail_for(a, sigma, n, 0) / a1 <= tol, 1, len(a)) if a1 > 0.0 else None
-    if N is not None:
-        weights = _weights(a.float_coeffs()[:N], a.log_n()[:N], sigma)
-        Z = float(weights.sum())
-    else:
-        # the margin over a(1) is too thin (or a(1) underflows): test every
-        # n against its own normalizer z[n-1]; tail/z falls as n grows
-        weights = _weights(a.float_coeffs(), a.log_n(), sigma)
-        z = np.cumsum(weights)
-        N = smallest_n(lambda n: z[n - 1] > 0.0 and _tail_for(a, sigma, n, 0) / z[n - 1] <= tol, 1, len(a))
-        if N is None:
-            raise ResourceLimitError(
-                f"tail mass {_tail_for(a, sigma, len(a), 0) / max(float(z[-1]), 1e-300):.3g} "
-                f"at the stored length N={len(a)} exceeds tol={tol}"
-            )
-        weights, Z = weights[:N], float(z[N - 1])
-        del z  # free the running sums before the PMF is allocated
+    hi = smallest_n(lambda n: _tail_for(a, sigma, n, 0) / a1 <= tol, 1, len(a)) if a1 > 0.0 else None
+    weights = _weights(a.float_coeffs()[:hi], a.log_n()[:hi], sigma)
+    z = np.cumsum(weights)
+    N = smallest_n(lambda n: z[n - 1] > 0.0 and _tail_for(a, sigma, n, 0) / z[n - 1] <= tol, 1, z.size)
+    if N is None:
+        raise ResourceLimitError(
+            f"tail mass {_tail_for(a, sigma, len(a), 0) / max(float(z[-1]), 1e-300):.3g} "
+            f"at the stored length N={len(a)} exceeds tol={tol}"
+        )
+    weights, Z = weights[:N], float(z[N - 1])
+    del z  # free the running sums before the PMF is allocated
     tail = _tail_for(a, sigma, N, 0)
     return ZetaDistribution(
         a=a,

@@ -17,13 +17,13 @@ from .arith import (
     ArithmeticFunction,
     GrowthBound,
     Rational,
+    _arange_index,
+    _check_length,
     factorize,
-    n_cap,
     primes_up_to,
 )
 from .errors import (
     DomainError,
-    InvalidLengthError,
     ResourceLimitError,
     UnsupportedExactnessError,
 )
@@ -47,10 +47,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
-        if self.length < 1:
-            raise InvalidLengthError(f"invalid length {self.length}")
-        if self.length > n_cap():
-            raise ResourceLimitError(f"length {self.length} exceeds the cap {n_cap()}")
+        _check_length(self.length)
         if self.kind == "power":
             if self.alpha is None or self.alpha > 0:
                 raise DomainError("power generator needs alpha <= 0")
@@ -181,7 +178,7 @@ def generate(spec: GeneratorSpec) -> ArithmeticFunction:
             )
         e = -int(alpha)
         coeffs = tuple(Fraction(1, n**e) for n in range(1, N + 1))
-        return ArithmeticFunction(coeffs, growth=unit, name=name, multiplicative=True)
+        return ArithmeticFunction._built(coeffs, _arange_index(N), unit, name, multiplicative=True)
 
     if spec.kind == "divisor":
         C = divisor_growth_constant(spec.k)

@@ -5,7 +5,7 @@ The oracles here deliberately use different algorithms from the library
 is meaningful.  A(n) has two: ``oracle_mangoldt`` solves A * a = a-log by
 summing over the divisors of each n, where the library's dense route pushes
 each A(d) onto the multiples of d; ``oracle_mangoldt_by_inverse`` takes the
-other route, the a-log sequence convolved with the Dirichlet inverse.
+other route, the a-log sequence convolved with ``oracle_inverse``.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetadist import ArithmeticFunction, GeneratorSpec, LogLinear, dirichlet_inverse, generate
-from zetadist.arith import log_twist
+from zetadist import ArithmeticFunction, GeneratorSpec, LogLinear, generate
 
 # Reference constants, frozen from high-precision evaluation and re-checked
 # against direct summation in the tests that use them.
@@ -78,16 +77,16 @@ def oracle_mangoldt(a: list[Fraction]) -> dict[int, LogLinear]:
 
 
 def oracle_mangoldt_by_inverse(a: list[Fraction]) -> dict[int, LogLinear]:
-    """A = (a-log) * a^-1: the library's ``log_twist`` convolved with its
-    ``dirichlet_inverse`` by divisor enumeration."""
-    fn = ArithmeticFunction(a)
-    inv = dirichlet_inverse(fn).coeffs
-    twist = log_twist(fn)
+    """A = (a-log) * a^-1: the a-log sequence (``LogLinear.log_of``)
+    convolved with ``oracle_inverse`` by divisor enumeration.  The library's
+    dense route and its inverse share one elimination, so this oracle uses
+    neither."""
+    inv = oracle_inverse(a)
     A: dict[int, LogLinear] = {}
     for n in range(2, len(a) + 1):
         acc = LogLinear()
         for d in divisors(n)[1:]:  # the a-log sequence vanishes at 1
-            acc = acc + twist[d - 1].scale(inv[n // d - 1])
+            acc = acc + LogLinear.log_of(d, a[d - 1] * inv[n // d - 1])
         A[n] = acc
     return A
 

@@ -22,7 +22,7 @@ from zetadist import (
     sign_of,
     von_mangoldt,
 )
-from zetadist.arith import factorize, primes_up_to, smallest_factor_sieve
+from zetadist.arith import MangoldtSequence, factorize, primes_up_to, smallest_factor_sieve
 
 from conftest import gen, mobius, oracle_convolve, oracle_inverse, oracle_mangoldt
 
@@ -42,6 +42,18 @@ class TestIdentity:
     def test_zero_length_rejected(self):
         with pytest.raises(InvalidLengthError):
             identity_function(0)
+
+    def test_length_cap_is_checked_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                identity_function(2 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_identity_law(self, ezstar64):
         ident = identity_function(64)
@@ -270,6 +282,15 @@ class TestLengthCap:
         with pytest.raises(ResourceLimitError):
             ArithmeticFunction([1] * 1001)
         assert len(ArithmeticFunction([1] * 1000)) == 1000
+
+    def test_identity_and_mangoldt_sequence_above_cap(self):
+        # one length rule, _check_length, for every builder
+        for build in (identity_function, lambda N: MangoldtSequence({}, N)):
+            with pytest.raises(ResourceLimitError):
+                build(1001)
+            with pytest.raises(InvalidLengthError):
+                build(0)
+            build(1000)
 
     def test_cap_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv("ZETADIST_MAX_N", "abc")

@@ -114,6 +114,20 @@ def test_negative_t_grid_without_equals():
     assert len(spaced.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("grid", ("0:1:0", "0:1:-3"))
+def test_t_grid_without_a_step_is_refused(grid, capsys):
+    rc = cli.main(["eval", "--gen", "ones", "--sigma", "2", "--t", grid, "--max", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_t_grid_of_one_step_is_its_start(capsys):
+    rc, out = run_in_process(["eval", "--gen", "ones", "--sigma", "2", "--t", "0.5:1:1", "--max", "16"], capsys)
+    rc1, one = run_in_process(["eval", "--gen", "ones", "--sigma", "2", "--t", "0.5", "--max", "16"], capsys)
+    assert rc == rc1 == 0 and out == one and len(out.splitlines()) == 2
+
+
 def test_zeros_json():
     proc = run("zeros", "--gen", "oneplusq:2:4", "--rect", "1.7,2.3,4.0,5.0", "--max", "16")
     obj = json.loads(proc.stdout)
@@ -165,6 +179,21 @@ def test_moments_direct_manifest_records_law_n(tmp_path):
     run("--out", str(tmp_path), "moments", "--gen", "oneplusq:2", "--sigma", "2",
         "--method", "direct", "--tol", "1e-9", "--max", "64")
     assert manifest_of(tmp_path / "moments.json")["N"] == 2
+
+
+@pytest.mark.parametrize("coeffs", (["-1", "1", "1", "1"], ["1", "-1/2", "1", "1"]), ids=("a1<0", "a2<0"))
+def test_moments_refuse_coefficients_that_define_no_law(coeffs, tmp_path, capsys):
+    # both methods describe the law, so both refuse what defines none
+    path = tmp_path / "f.json"
+    path.write_text(ArithmeticFunction([Fraction(c) for c in coeffs], growth=GrowthBound(1.0, 0.0)).to_json())
+    errors = []
+    for method in ("analytic", "direct"):
+        rc = cli.main(["moments", "--gen", str(path), "--sigma", "2", "--method", method, "--max", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "", method
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert json.loads(errors[0])["error"] == "NotDistributionError"
 
 
 def test_sample_reproducible(tmp_path):

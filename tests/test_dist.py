@@ -71,6 +71,17 @@ class TestBuild:
         z = math.fsum(n**-1.5 for n in range(1, d.N))
         assert tail_bound(1.0, 0.0, 1.5, d.N - 1) / z > 1e-3
 
+    def test_smallest_n_against_its_own_normalizer(self):
+        # tail(N)/a(1) <= tol first holds at N = 10001, but the normalizer of
+        # 6081 terms already brings the relative tail within tol
+        ones = gen("ones", 10**5)
+        d = build_distribution(ones, 2.0, 1e-4)
+        assert d.N == 6081
+        # the reported bound is the one the search tested
+        assert d.tail_mass_bound == tail_bound(1.0, 0.0, 2.0, d.N) / d.Z_sigma.value.real <= 1e-4
+        assert abs(d.Z_sigma.value.real - math.fsum(n**-2.0 for n in range(1, d.N + 1))) <= 1e-12
+        assert tail_bound(1.0, 0.0, 2.0, d.N - 1) / math.fsum(n**-2.0 for n in range(1, d.N)) > 1e-4
+
     def test_underflowing_a1(self):
         # a(1) > 0 exactly, but float(a(1)) == 0.0
         a = ArithmeticFunction([Fraction(1, 10**400), 1, 1], growth=GrowthBound(1.0, 0.0), support_limit=3)

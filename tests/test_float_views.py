@@ -125,6 +125,21 @@ def test_unused_value_beyond_float_range_is_never_read():
         used.float_coeffs()
 
 
+def test_one_value_per_n_index_is_the_narrowest_unsigned_dtype():
+    # the public constructor and pow:-e index their N values by 0..N-1
+    big = ArithmeticFunction((Fraction(1),) * 10**6)
+    assert big._index.dtype == np.uint32 and big(10**6) == 1
+    for N, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)):
+        fn = ArithmeticFunction([Fraction(1, n) for n in range(1, N + 1)])
+        assert fn._index.dtype == dtype
+        assert fn.coeffs == tuple(Fraction(1, n) for n in range(1, N + 1))
+        assert_same_bits(fn.float_coeffs(), reference_view(fn.coeffs))
+    pow1 = gen("pow:-1", 65537)
+    assert pow1._index.dtype == np.uint32 and pow1.multiplicative
+    assert pow1.coeffs == tuple(Fraction(1, n) for n in range(1, 65538))
+    assert_same_bits(pow1.float_coeffs(), reference_view(pow1.coeffs))
+
+
 def test_fraction_input_is_kept_and_other_input_converted():
     shared = Fraction(1, 3)
     fn = ArithmeticFunction((shared,) * 3)

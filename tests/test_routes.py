@@ -4,6 +4,7 @@ which route, and the sparse Dirichlet inverse."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,13 @@ def dense_of(fn: ArithmeticFunction) -> MangoldtSequence:
     lam = von_mangoldt(ArithmeticFunction(fn.coeffs))
     assert lam.route == "dense"
     return lam
+
+
+def marked(coeffs) -> ArithmeticFunction:
+    """A hand-built function marked multiplicative, built as ``generate``
+    builds one: the public constructor takes no mark."""
+    return ArithmeticFunction._built([Fraction(c) for c in coeffs], np.arange(len(coeffs)), None, "",
+                                     multiplicative=True)
 
 
 def assert_same_table(lam: MangoldtSequence, want: dict, N: int) -> None:
@@ -105,7 +113,7 @@ def test_prime_power_route_needs_invertible_a1():
     from zetadist import NonInvertibleError
 
     with pytest.raises(NonInvertibleError):
-        von_mangoldt(ArithmeticFunction([0, 1, 1], multiplicative=True))
+        von_mangoldt(marked([0, 1, 1]))
 
 
 @st.composite
@@ -123,7 +131,7 @@ def multiplicative_functions(draw):
         for p, e in factorize(n).items():
             b *= on_prime_powers[p**e]
         coeffs.append(a1 * b)
-    return ArithmeticFunction(coeffs, multiplicative=True)
+    return marked(coeffs)
 
 
 @given(multiplicative_functions())
@@ -162,6 +170,24 @@ def unmarked_functions(draw):
     a1 = draw(st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8)
               .filter(lambda x: x not in (0, 1)))
     return ArithmeticFunction([a1] + [c if n % stride == 0 else 0 for n, c in enumerate(rest, 2)])
+
+
+@given(unmarked_functions())
+@settings(max_examples=60, deadline=None)
+def test_random_inverse_matches_oracle(fn):
+    # the inverse is the same elimination as the dense route, with the
+    # right-hand side delta; sparse signed input exercises the skip of an
+    # index with nothing pending
+    assert list(dirichlet_inverse(fn).coeffs) == oracle_inverse(list(fn.coeffs))
+
+
+def test_a_wrong_mark_cannot_be_set_by_hand():
+    # (1, 1, 1, 1, 1, 2) is not multiplicative (a(6) != a(2) a(3)); a mark
+    # would send it to the prime-power route and lose A(6) = log 2 + log 3
+    with pytest.raises(TypeError):
+        ArithmeticFunction([1, 1, 1, 1, 1, 2], multiplicative=True)
+    lam = von_mangoldt(ArithmeticFunction([1, 1, 1, 1, 1, 2]))
+    assert lam.route == "dense" and lam[6] == LogLinear({2: 1, 3: 1})
 
 
 @given(unmarked_functions())

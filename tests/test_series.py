@@ -243,9 +243,14 @@ class TestTailBound:
                                      (EvalPoint(3.0), 2, 1e-6, 8387)):
             assert evaluate_series(ones, point, order=order, tol=tol).N_used == n
         assert evaluate_series(gen("dk:2", 10**4), EvalPoint(2.5), tol=1e-4).N_used == 7310
-        for sigma, tol, n in ((2.0, 1e-4, 10001), (2.0, 1e-5, 60795), (3.0, 1e-9, 22362)):
-            assert build_distribution(ones, sigma, tol).N == n
-        assert build_distribution(gen("ezstar", 4096), 3.0, 1e-6).N == 709
+        # each law N is the smallest that meets tol against its own
+        # normalizer: N - 1 fails it against a math.fsum normalizer
+        for fn, sigma, tol, n in ((ones, 2.0, 1e-4, 6081), (ones, 2.0, 1e-5, 60795), (ones, 3.0, 1e-9, 20396),
+                                  (gen("ezstar", 4096), 3.0, 1e-6, 673)):
+            assert build_distribution(fn, sigma, tol).N == n
+            c = fn.float_coeffs()
+            z = math.fsum(float(c[k - 1]) * k**-sigma for k in range(1, n))
+            assert tail_bound(fn.growth.C, fn.growth.eps, sigma, n - 1) / z > tol
         rep = count_zeros(ones, Rectangle(1.4, 2.0, 0.0, 5.0))
         assert (rep.N_used, rep.winding, rep.status) == (60060, 0, "certified")
 
