@@ -3,8 +3,10 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``) and
 values built from logarithms of integers are kept symbolically as linear
 combinations of log p over primes, so equality and sign questions have exact
-answers.  Floating point enters only the read-only float views that the
-numerical modules use.
+answers.  The coefficients l(n) = A(n)/log n of log(Z/a(1)) are rationals
+too: ``von_mangoldt`` finds them, and ``dirichlet_inverse`` the inverse, by
+one scalar elimination over integers (``_eliminate``).  Floating point enters
+only the read-only float views that the numerical modules use.
 """
 from __future__ import annotations
 
@@ -64,11 +66,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {p: exponent}."""
+def factorize(n: int, spf: Optional[np.ndarray] = None) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {p: exponent}, smallest p first: by
+    trial division, or read off ``spf``, a ``smallest_factor_sieve`` that
+    covers n."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
+    if spf is not None:
+        while n > 1:
+            p, e = spf.item(n), 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        return out
     while n % 2 == 0:
         out[2] = out.get(2, 0) + 1
         n //= 2
@@ -83,19 +95,30 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def smallest_factor_sieve(limit: int) -> list[int]:
-    """spf[n] = smallest prime factor of n for 0 <= n <= limit (spf[0]=spf[1]=0)."""
-    spf = list(range(limit + 1))
-    if limit >= 1:
-        spf[1] = 0
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+def smallest_factor_sieve(limit: int) -> np.ndarray:
+    """spf[n] = smallest prime factor of n for 0 <= n <= limit (spf[0] = spf[1] = 0),
+    an array of the narrowest unsigned dtype that holds limit."""
+    spf = np.zeros(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in primes_up_to(math.isqrt(limit)):
+        multiples = spf[p * p :: p]
+        multiples[multiples == 0] = p
+    primes = np.flatnonzero(spf == 0)
+    spf[primes] = primes
+    spf[:2] = 0
     return spf
+
+
+def _prime_factor_counts(spf: np.ndarray) -> np.ndarray:
+    """Omega(n), the prime factors of n counted with multiplicity, for each n
+    that ``spf`` covers (0 at n = 0 and n = 1), as int8."""
+    omega = np.zeros(len(spf), dtype=np.int8)
+    rest = np.arange(len(spf))
+    live = np.arange(2, len(spf))
+    while live.size:
+        omega[live] += 1
+        rest[live] //= spf[rest[live]]
+        live = live[rest[live] > 1]
+    return omega
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -161,12 +184,13 @@ class LogLinear:
         return obj
 
     @classmethod
-    def log_of(cls, n: int, coefficient: RationalLike = _ONE) -> "LogLinear":
-        """coefficient * log n, expanded over the prime factorization of n."""
+    def log_of(cls, n: int, coefficient: RationalLike = _ONE, spf: Optional[np.ndarray] = None) -> "LogLinear":
+        """coefficient * log n, expanded over the prime factorization of n
+        (read off ``spf``, a ``smallest_factor_sieve`` covering n, if given)."""
         c = _as_fraction(coefficient)
         if n == 1 or c == 0:
             return _ZERO_LOGLINEAR
-        return cls._raw(tuple(sorted((p, c * e) for p, e in factorize(n).items())))
+        return cls._raw(tuple((p, c * e if e > 1 else c) for p, e in factorize(n, spf).items()))
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -222,8 +246,10 @@ class LogLinear:
     __rmul__ = __mul__
 
     def evaluate(self) -> float:
-        """Double-precision value of the number."""
-        return math.fsum(float(c) * math.log(p) for p, c in self._terms)
+        """Double-precision value of the number: the float of each c_p (the
+        correctly rounded division that ``float`` performs) times log p,
+        summed exactly and rounded once."""
+        return math.fsum(c.numerator / c.denominator * math.log(p) for p, c in self._terms)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
@@ -525,106 +551,119 @@ def dirichlet_convolve(a: ArithmeticFunction, b: ArithmeticFunction) -> Arithmet
     return ArithmeticFunction(out[1:], name=f"({a.name}*{b.name})", support_limit=support)
 
 
-def _eliminate(a: ArithmeticFunction, rhs: Iterator[tuple[int, Sequence[tuple[int, Fraction]]]]
-               ) -> Iterator[tuple[int, tuple[tuple[int, Fraction], ...]]]:
-    """Solve X * a = r by forward elimination, X(n) = (r(n) - sum_{d|n, d<n}
-    X(d) a(n/d)) / a(1), given a(1) != 0.  r(n) and X(n) are sparse maps
-    {key: Fraction} as sorted pairs: ``rhs`` gives (n, r(n)) for each nonzero
-    r(n), n ascending, and (n, X(n)) is yielded for each nonzero X(n).  Each
-    X(n) a(m), m >= 2, is pushed onto the pending sum of n m, freed once
-    consumed; an index with nothing pending and r(n) = 0 costs nothing."""
-    N, coeffs = len(a), a.coeffs
-    minus_inv_a1 = -1 / coeffs[0]
-    anz = [m for m in a.nonzero_indices() if m >= 2]
-    pending: dict[int, dict[int, Fraction]] = {}  # n -> sum_{d|n, d<n} X(d) a(n/d)
-    n_r, r = next(rhs, (0, ()))
-    for n in range(1, N + 1):
-        acc = pending.pop(n, None)
-        if n == n_r:
-            acc = acc or {}
-            for k, v in r:
-                acc[k] = acc.get(k, _ZERO) - v
-            n_r, r = next(rhs, (0, ()))
-        elif acc is None:
-            continue
-        terms = tuple((k, v * minus_inv_a1) for k, v in sorted(acc.items()) if v)
-        if not terms:
-            continue
-        yield n, terms
-        for m in anz[: bisect_right(anz, N // n)]:
-            target = pending.setdefault(n * m, {})
-            for k, v in terms:
-                target[k] = target.get(k, _ZERO) + v * coeffs[m - 1]
+# The integer scaling's D, the lcm of the table's denominators, must fit in
+# this many bits; a larger D (lcm(1..N) for a JSON copy of n^-1) makes the
+# integers slower than the rationals they stand for.
+_MAX_SCALE_BITS = 64
+
+
+def _omega_weights(a: ArithmeticFunction) -> tuple[int, list, list[int], list, np.ndarray]:
+    """The scaled weights of ``_eliminate`` for a, given a(1) != 0:
+    (D, upow, ms, ws, omega).
+
+    a' = D a with D the lcm of the table's denominators, so a' is integral,
+    u = a'(1), upow[k] = u^k for k <= max Omega + 1, ms the m >= 2 with
+    a(m) != 0, ascending, ws their weights w(m) = a'(m) u^(Omega(m)-1), and
+    omega = Omega(0..N).  When D does not fit in ``_MAX_SCALE_BITS`` bits the
+    same weights come with D = 1 and ``Fraction`` entries.
+    """
+    D = 1
+    for v in a._values:
+        D = math.lcm(D, v.denominator)
+        if D.bit_length() > _MAX_SCALE_BITS:
+            D = 1
+            table: Sequence = a._values
+            break
+    else:
+        table = [v.numerator * (D // v.denominator) for v in a._values]
+    omega = _prime_factor_counts(smallest_factor_sieve(len(a)))
+    u = table[a._index[0]]
+    upow = [1]
+    for _ in range(int(omega.max()) + 1):
+        upow.append(upow[-1] * u)
+    ms = a.nonzero_indices()[1:]
+    at = np.asarray(ms, dtype=np.intp)
+    ws = [table[i] * upow[k - 1] for i, k in zip(a._index[at - 1].tolist(), omega[at].tolist())]
+    return D, upow, ms, ws, omega
+
+
+def _eliminate(Y: list, ms: list[int], ws: list) -> None:
+    """Solve Y(n) = r(n) - sum_{d|n, d<n} Y(d) w(n/d) for n = 1..N in place:
+    Y holds r(0..N) on entry (entry 0 unused) and Y(0..N) on return.  ms are
+    the m >= 2 with w(m) != 0, ascending, and ws their w(m).  Each nonzero
+    Y(n) is pushed, times w(m), onto Y(n m) before that entry is read, so the
+    pending sums are the list itself; an n with Y(n) = 0 costs nothing."""
+    N = len(Y) - 1
+    if not ms:
+        return
+    for n in range(1, N // ms[0] + 1):
+        y = Y[n]
+        if y:
+            k = bisect_right(ms, N // n)
+            for m, w in zip(ms[:k], ws[:k]):
+                Y[n * m] -= y * w
 
 
 def dirichlet_inverse(a: ArithmeticFunction) -> ArithmeticFunction:
-    """The convolution inverse, the solution of inv * a = delta by ``_eliminate``."""
+    """The convolution inverse, the solution of inv * a = delta.
+
+    With the scaling of ``_omega_weights``, Y(n) = D^-1 inv(n) u^(Omega(n)+1)
+    solves ``_eliminate`` with r = delta, so inv(n) = D Y(n) / u^(Omega(n)+1).
+    """
     if a(1) == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
-    inv = [_ZERO] * len(a)
-    for n, ((_, v),) in _eliminate(a, iter([(1, ((1, _ONE),))])):
-        inv[n - 1] = v
+    D, upow, ms, ws, omega = _omega_weights(a)
+    Y = [0] * (len(a) + 1)
+    Y[1] = 1
+    _eliminate(Y, ms, ws)
+    inv = [Fraction(D * y, upow[k + 1]) if y else _ZERO for y, k in zip(Y[1:], omega[1:].tolist())]
     return ArithmeticFunction(inv, name=f"({a.name})^-1")
-
-
-def _prime_exponents(n: int, spf: list[int]) -> Iterator[tuple[int, int]]:
-    """(p, e) for each p^e exactly dividing n, smallest p first, off a sieve."""
-    while n > 1:
-        p, e = spf[n], 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        yield p, e
-
-
-def _twist_terms(a: ArithmeticFunction) -> Iterator[tuple[int, tuple[tuple[int, Fraction], ...]]]:
-    """(n, ((p, a(n) e), ...)) for each n >= 2 with a(n) != 0: a(n) log n
-    over the p^e exactly dividing n, smallest p first, n ascending."""
-    spf, coeffs = smallest_factor_sieve(len(a)), a.coeffs
-    for n in a.nonzero_indices():
-        if n > 1:
-            yield n, tuple((p, coeffs[n - 1] * e) for p, e in _prime_exponents(n, spf))
 
 
 def log_twist(a: ArithmeticFunction) -> list[LogLinear]:
     """The sequence a(n) * log n as exact LogLinear values, indexed 1..N (entry
     1 is zero), log n expanded over the prime factorization of n."""
-    out: list[LogLinear] = [_ZERO_LOGLINEAR] * len(a)
-    for n, terms in _twist_terms(a):
-        out[n - 1] = LogLinear._raw(terms)
-    return out
+    return [LogLinear.log_of(n, c) for n, c in enumerate(a.coeffs, 1)]
 
 
 class MangoldtSequence:
     """The exact sequence A(n) = ((a log) * a^{-1})(n) for 2 <= n <= N.
 
-    These are the generalized von Mangoldt values: A(n)/log n are the
-    Dirichlet coefficients of log Z for the series Z with coefficients a.
-    Stored sparsely; absent indices are exactly zero.  ``route`` names the
-    algorithm that built the table: ``"prime-powers"`` or ``"dense"``.
+    These are the generalized von Mangoldt values.  The table stores
+    l(n) = A(n)/log n, the Dirichlet coefficients of log(Z/a(1)), which are
+    rational when a is; absent indices are exactly zero.  ``A(n)`` itself,
+    l(n) log n expanded over the primes of n as a ``LogLinear``, is built on
+    access.  ``route`` names the algorithm that built the table:
+    ``"prime-powers"`` or ``"dense"``.
     """
 
-    __slots__ = ("_nonzero", "N", "route", "_array_cache")
+    __slots__ = ("_ratios", "N", "route", "_array_cache")
 
     def __init__(self, nonzero: Mapping[int, LogLinear], N: int, route: str = "dense"):
         _check_length(N)
         if route not in ("prime-powers", "dense"):
             raise ValueError(f"unknown route {route!r}")
-        clean = {n: v for n, v in nonzero.items() if not v.is_zero()}
-        for n in clean:
+        ratios = {}
+        for n, v in nonzero.items():
+            if v.is_zero():
+                continue
             if not 2 <= n <= N:
                 raise ValueError(f"index {n} outside 2..{N}")
-        self._fill(clean.items(), N, route)
+            p, e = next(iter(factorize(n).items()))
+            ratios[n] = v.terms.get(p, _ZERO) / e
+            if v != LogLinear.log_of(n, ratios[n]):
+                raise ValueError(f"A({n}) = {v!r} is not a rational multiple of log {n}")
+        self._fill(ratios.items(), N, route)
 
     @classmethod
-    def _built(cls, items: Iterable[tuple[int, LogLinear]], N: int, route: str) -> "MangoldtSequence":
-        """A table ``von_mangoldt`` built: no zero value, every index in 2..N."""
+    def _built(cls, ratios: Iterable[tuple[int, Fraction]], N: int, route: str) -> "MangoldtSequence":
+        """A table of l(n) that ``von_mangoldt`` built: no zero value, every index in 2..N."""
         obj = object.__new__(cls)
-        obj._fill(items, N, route)
+        obj._fill(ratios, N, route)
         return obj
 
-    def _fill(self, items, N, route) -> None:
-        object.__setattr__(self, "_nonzero", dict(sorted(items)))
+    def _fill(self, ratios, N, route) -> None:
+        object.__setattr__(self, "_ratios", dict(sorted(ratios)))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "_array_cache", None)
@@ -635,22 +674,34 @@ class MangoldtSequence:
     def __getitem__(self, n: int) -> LogLinear:
         if not 2 <= n <= self.N:
             raise IndexError(f"n={n} outside stored range 2..{self.N}")
-        return self._nonzero.get(n, _ZERO_LOGLINEAR)
+        return LogLinear.log_of(n, self._ratios.get(n, _ZERO))
 
     def nonzeros(self) -> Iterator[tuple[int, LogLinear]]:
-        return iter(self._nonzero.items())
+        """(n, A(n)) for each nonzero A(n), n ascending, each A(n) built from
+        l(n) and the factorization of n read off one sieve."""
+        spf = smallest_factor_sieve(next(reversed(self._ratios), 1))
+        for n, ratio in self._ratios.items():
+            yield n, LogLinear.log_of(n, ratio, spf)
 
     def nonzero_count(self) -> int:
-        return len(self._nonzero)
+        return len(self._ratios)
 
     def float_arrays(self):
         """(n, log n, A(n)/log n) over the nonzero A(n) as numpy arrays, the
         last two in double precision: the Dirichlet coefficients of log Z and
-        the logarithms the series kernel needs beside them."""
+        the logarithms the series kernel needs beside them.  A(n)/log n is
+        ``A(n).evaluate() / log n``: the float of each coefficient l(n) e of
+        log p times log p, summed exactly and rounded once, over log n."""
         cached = self._array_cache
         if cached is None:
-            ns = np.fromiter(self._nonzero.keys(), dtype=np.int64, count=len(self._nonzero))
-            coef = np.fromiter((v.evaluate() for v in self._nonzero.values()), dtype=np.float64, count=len(self._nonzero))
+            count = len(self._ratios)
+            ns = np.fromiter(self._ratios, dtype=np.int64, count=count)
+            spf = smallest_factor_sieve(next(reversed(self._ratios), 1))
+            coef = np.fromiter(
+                (math.fsum(ratio.numerator * e / ratio.denominator * math.log(p)
+                           for p, e in factorize(n, spf).items())
+                 for n, ratio in self._ratios.items()),
+                dtype=np.float64, count=count)
             logn = np.log(ns.astype(np.float64))
             coef /= logn
             cached = (ns, logn, coef)
@@ -658,37 +709,44 @@ class MangoldtSequence:
         return cached
 
     def first_negative(self) -> Optional[int]:
-        """Least n with A(n) < 0 (exact sign test), or None."""
-        for n, v in self._nonzero.items():
-            if v.sign() < 0:
-                return n
-        return None
+        """Least n with A(n) < 0, or None: exact, as sign A(n) = sign l(n)."""
+        return next((n for n, ratio in self._ratios.items() if ratio < 0), None)
 
     def __repr__(self) -> str:
-        return f"MangoldtSequence(N={self.N}, nonzeros={len(self._nonzero)}, route={self.route!r})"
+        return f"MangoldtSequence(N={self.N}, nonzeros={len(self._ratios)}, route={self.route!r})"
 
 
 def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
-    """A(n) for 2 <= n <= len(a), exact: the solution of A * a = a log.
+    """A(n) for 2 <= n <= len(a), exact, stored as l(n) = A(n)/log n.
 
     A function that ``generate`` marked multiplicative takes the prime-power
-    route; every other one the dense route, ``_eliminate`` with the
-    right-hand side a log, as ``dirichlet_inverse`` with delta.  Both routes
-    give the same table.
+    route; every other one the dense route.  Omega(n), the number of prime
+    factors of n with multiplicity, is completely additive, so f -> f Omega is
+    a derivation of the Dirichlet ring; applied to Z = a(1) exp(L), with L
+    the series of l, it gives a Omega = a * (l Omega).  With the scaling of
+    ``_omega_weights``, Y(n) = l(n) Omega(n) u^Omega(n) solves
+    ``_eliminate`` with r(n) = w(n) Omega(n), as ``dirichlet_inverse`` with
+    delta, and l(n) = Y(n) / (Omega(n) u^Omega(n)).  Both routes give the
+    same table.
     """
     if a(1) == 0:
         raise NonInvertibleError("a(1) = 0: no Dirichlet inverse exists")
     if a.multiplicative:
         return _mangoldt_prime_powers(a)
-    nonzero = ((n, LogLinear._raw(terms)) for n, terms in _eliminate(a, _twist_terms(a)))
-    return MangoldtSequence._built(nonzero, len(a), "dense")
+    _, upow, ms, ws, omega = _omega_weights(a)
+    Y = [0] * (len(a) + 1)
+    for m, w, k in zip(ms, ws, omega[ms].tolist()):
+        Y[m] = w * k
+    _eliminate(Y, ms, ws)
+    ratios = [(n, Fraction(y, k * upow[k])) for n, (y, k) in enumerate(zip(Y, omega.tolist())) if y]
+    return MangoldtSequence._built(ratios, len(a), "dense")
 
 
 def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
-    """A(n) for a multiplicative b = a/a(1), on prime powers only.
+    """l(n) = A(n)/log n for a multiplicative b = a/a(1), on prime powers only.
 
     log Z is a sum over primes of the logs of the Euler factors, so A vanishes
-    off prime powers, and A(p^r) = c_r log p with
+    off prime powers, and A(p^r) = c_r log p, l(p^r) = c_r / r, with
     c_r = r b(p^r) - sum_{0<j<r} c_j b(p^(r-j)) (Apostol, ch. 2).  Primes on
     whose powers a vanishes contribute nothing and are skipped.
     """
@@ -705,8 +763,8 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
             q *= p
     # every a(p^r) in one gather through the index
     values = list(map(a._values.__getitem__, a._index[np.array(powers, dtype=np.intp) - 1].tolist()))
-    nonzero: list[tuple[int, LogLinear]] = []
-    for p, lo, hi in zip(primes, starts, starts[1:] + [len(powers)]):
+    ratios: list[tuple[int, Fraction]] = []
+    for lo, hi in zip(starts, starts[1:] + [len(powers)]):
         b = values[lo:hi]
         if not any(b):
             continue
@@ -718,7 +776,7 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
             for j in range(1, r):
                 cr -= c[j - 1] * b[r - j - 1]
             c.append(cr)
-        for q, cr in zip(powers[lo:hi], c):
+        for r, (q, cr) in enumerate(zip(powers[lo:hi], c), 1):
             if cr:
-                nonzero.append((q, LogLinear._raw(((p, cr),))))
-    return MangoldtSequence._built(nonzero, N, "prime-powers")
+                ratios.append((q, cr / r if r > 1 else cr))
+    return MangoldtSequence._built(ratios, N, "prime-powers")

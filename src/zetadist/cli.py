@@ -150,9 +150,10 @@ def cmd_inverse(args) -> Output:
 def cmd_acoeffs(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     lam = von_mangoldt(fn)
+    nonzero, zero = dict(lam.nonzeros()), LogLinear()
     lines = ["n,A_exact,A_float"]
     for n in range(2, lam.N + 1):
-        v = lam[n]
+        v = nonzero.get(n, zero)
         lines.append(f"{n},{_loglinear_str(v)},{_fmt(v.evaluate())}")
     return Output("acoeffs.csv", lines, RunManifest(source, N=lam.N))
 

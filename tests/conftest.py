@@ -3,9 +3,10 @@
 The oracles here deliberately use different algorithms from the library
 (divisor enumeration instead of sieves and pushes to multiples) so agreement
 is meaningful.  A(n) has two: ``oracle_mangoldt`` solves A * a = a-log by
-summing over the divisors of each n, where the library's dense route pushes
-each A(d) onto the multiples of d; ``oracle_mangoldt_by_inverse`` takes the
-other route, the a-log sequence convolved with ``oracle_inverse``.
+summing over the divisors of each n, where the library's dense route solves
+a Omega = a * (l Omega) for l(n) = A(n)/log n in scaled integers and pushes
+each value onto the multiples of its index; ``oracle_mangoldt_by_inverse``
+takes the other route, the a-log sequence convolved with ``oracle_inverse``.
 """
 from __future__ import annotations
 
@@ -62,8 +63,9 @@ def oracle_mangoldt(a: list[Fraction]) -> dict[int, LogLinear]:
     """A(n) from the identity A * a = a-log, i.e.
     A(n) = (a(n) log n - sum_{1<d<n, d|n} A(d) a(n/d)) / a(1).
 
-    The library's dense route solves the same system by pushing each A(d)
-    onto the multiples of d instead.
+    The library's dense route solves a Omega = a * (l Omega), the Omega
+    derivation of the same series, instead, so the two share neither log n
+    nor the order of the sums.
     """
     N = len(a)
     A: dict[int, LogLinear] = {}

@@ -1,7 +1,9 @@
 """The two A(n) routes: the prime-power route of multiplicative functions
 against the dense route, both against the two oracles, which functions take
-which route, and the sparse Dirichlet inverse."""
+which route, the sparse Dirichlet inverse, and the Omega derivation behind
+the dense route and the inverse in its integer and Fraction scalings."""
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +109,16 @@ def test_public_constructor_checks_its_input():
     for bad in (1, 5):
         with pytest.raises(ValueError):
             MangoldtSequence({bad: two}, 4)
+
+
+def test_public_constructor_refuses_a_value_off_log_n():
+    # the table holds l(n) = A(n)/log n; a value that is no rational multiple
+    # of log n is no coefficient of log Z
+    for n, bad in ((6, LogLinear.log_of(2)), (4, LogLinear.log_of(3)), (12, LogLinear({2: 1, 3: 1}))):
+        with pytest.raises(ValueError, match="rational multiple"):
+            MangoldtSequence({n: bad}, 12)
+    lam = MangoldtSequence({12: LogLinear({2: Fraction(-2, 3), 3: Fraction(-1, 3)})}, 12)
+    assert lam[12] == LogLinear.log_of(12, Fraction(-1, 3)) and lam.first_negative() == 12
 
 
 def test_prime_power_route_needs_invertible_a1():
@@ -217,3 +229,67 @@ def test_ezstar_at_depth_equals_inverse_oracle():
     fn = gen("ezstar", 4096)
     assert dict(von_mangoldt(fn).nonzeros()) == {
         n: v for n, v in oracle_mangoldt_by_inverse(list(fn.coeffs)).items() if v}
+
+
+def log_coefficients(lam: MangoldtSequence, N: int) -> list[Fraction]:
+    """l(1..N), l(n) = A(n)/log n, read off each A(n)'s coefficient of the
+    least prime of n."""
+    out = [Fraction(0)] * N
+    for n, v in lam.nonzeros():
+        p, e = next(iter(factorize(n).items()))
+        out[n - 1] = v.terms[p] / e
+    return out
+
+
+def big_omega(n: int) -> int:
+    return sum(factorize(n).values())
+
+
+@given(unmarked_functions())
+@settings(max_examples=40, deadline=None)
+def test_omega_derivation_identity(fn):
+    # Omega is completely additive, so f -> f Omega is a derivation; on
+    # Z = a(1) exp(L) it gives a Omega = a * (l Omega), checked by divisor sums
+    a, N = list(fn.coeffs), len(fn)
+    l_omega = [x * big_omega(n) for n, x in enumerate(log_coefficients(von_mangoldt(fn), N), 1)]
+    assert oracle_convolve(a, l_omega) == [x * big_omega(n) for n, x in enumerate(a, 1)]
+
+
+@pytest.mark.parametrize("a1, D, u", [(Fraction(-1), 6, -6), (Fraction(3, 2), 6, 9)])
+def test_integer_scaling_carries_the_sign_and_powers_of_u(a1, D, u):
+    # denominators 1..3 give D = 6 and u = D a(1); Y(n) carries u^Omega(n)
+    fn = ArithmeticFunction([a1] + [Fraction((-1) ** n * (n % 5), 1 + n % 3) for n in range(2, 97)])
+    scale, upow, *_ = arith._omega_weights(fn)
+    assert (scale, upow[1]) == (D, u)
+    coeffs = list(fn.coeffs)
+    assert_same_table(von_mangoldt(fn), oracle_mangoldt(coeffs), len(fn))
+    assert list(dirichlet_inverse(fn).coeffs) == oracle_inverse(coeffs)
+
+
+def test_wide_denominators_take_the_fraction_scaling():
+    # a JSON copy of n^-1 has D = lcm(1..64) > 2^64: the same loop runs with
+    # D = 1 and Fraction weights
+    fn = ArithmeticFunction.from_json(gen("pow:-1", 64).to_json())
+    assert math.lcm(*range(1, 65)) >= 2**64
+    scale, upow, _, ws, _ = arith._omega_weights(fn)
+    assert scale == 1 and upow[1] == 1 and all(type(w) is Fraction for w in ws)
+    lam, coeffs = von_mangoldt(fn), list(fn.coeffs)
+    assert lam.route == "dense"
+    assert dict(lam.nonzeros()) == dict(von_mangoldt(gen("pow:-1", 64)).nonzeros())
+    assert_same_table(lam, oracle_mangoldt(coeffs), 64)
+    assert_same_table(lam, oracle_mangoldt_by_inverse(coeffs), 64)
+    assert list(dirichlet_inverse(fn).coeffs) == oracle_inverse(coeffs)
+
+
+@pytest.mark.parametrize("max_bits", [0, arith._MAX_SCALE_BITS], ids=["fraction", "integer"])
+@given(fn=unmarked_functions())
+@settings(max_examples=30, deadline=None)
+def test_both_scalings_equal_the_oracles(max_bits, fn):
+    # max_bits 0 sends every input to the Fraction scaling
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_MAX_SCALE_BITS", max_bits)
+        lam, inv = von_mangoldt(fn), dirichlet_inverse(fn)
+    coeffs, N = list(fn.coeffs), len(fn)
+    assert_same_table(lam, oracle_mangoldt(coeffs), N)
+    assert_same_table(lam, oracle_mangoldt_by_inverse(coeffs), N)
+    assert list(inv.coeffs) == oracle_inverse(coeffs)

@@ -179,6 +179,17 @@ class TestEvaluate:
         exact = np.array([v.evaluate() for _, v in lam.nonzeros()])
         assert np.all(np.abs(coef * ln - exact) <= 4 * np.spacing(np.abs(exact)))
 
+    @pytest.mark.parametrize("name, route", [("ezstar", "dense"), ("dk:3", "prime-powers")])
+    def test_float_arrays_bits(self, name, route):
+        # bit for bit the float of each exact A(n), rounded once, over log n
+        lam = von_mangoldt(gen(name, 4096))
+        assert lam.route == route
+        ns, ln, coef = lam.float_arrays()
+        exact = [v.evaluate() for _, v in lam.nonzeros()]
+        assert np.array_equal(coef, np.array(exact) / np.log(ns.astype(np.float64)))
+        fsum = [math.fsum(float(c) * math.log(p) for p, c in lam[n].terms.items()) for n in ns.tolist()]
+        assert exact == fsum
+
     def test_weights_are_the_law_terms(self):
         fn = gen("ezstar", 500)
         c, ln = fn.float_coeffs(), fn.log_n()
