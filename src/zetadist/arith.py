@@ -748,11 +748,19 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
     log Z is a sum over primes of the logs of the Euler factors, so A vanishes
     off prime powers, and A(p^r) = c_r log p, l(p^r) = c_r / r, with
     c_r = r b(p^r) - sum_{0<j<r} c_j b(p^(r-j)) (Apostol, ch. 2).  Primes on
-    whose powers a vanishes contribute nothing and are skipped.
+    whose powers a vanishes contribute nothing and are skipped; a prime above
+    sqrt(N) stores only its first power, so it is visited only when a(p) != 0.
     """
     N = len(a)
     a1 = a(1)
-    primes = primes_up_to(N)
+    root = math.isqrt(N)
+    small = primes_up_to(root)
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in small:
+        is_prime[p * p :: p] = False
+    nonzero = a._signs()[a._index] != 0  # nonzero[n-1]: a(n) != 0
+    primes = small + (np.flatnonzero(is_prime[root + 1:] & nonzero[root:]) + root + 1).tolist()
     powers: list[int] = []  # p, p^2, ... <= N for each prime in turn, from its start
     starts = []
     for p in primes:

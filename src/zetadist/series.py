@@ -7,7 +7,7 @@ Every sum of n^{-s} goes through ``_partial_sum``, which computes
 n^{-sigma} (cos(t log n) - i sin(t log n)) with the platform exp, log, cos
 and sin; ``_rounding_bound`` bounds its float error.  Every real per-term
 weight c(n) n^{-sigma} (the law's masses, the quasi-Levy masses, the zero
-scan's Lipschitz weights) comes from ``_weights``.
+scan's curvature bound) comes from ``_weights``.
 """
 from __future__ import annotations
 

@@ -4,22 +4,29 @@ The winding number of the *truncated* series Z_N around a rectangle is found
 by tracking the argument of Z_N along the contour.  One pass over the
 weights w(n) = |a(n)| n^{-sigma_min}, n <= N (``series._weights``), gives
 
-- L = sum w(n) log n, a bound on |Z_N'| on the whole rectangle, and
+- M2 = sum w(n) log^2 n, raised by its own float-rounding bound, a bound on
+  |Z_N''| on the whole rectangle, and
 - rnd, the series kernel's bound on the floating-point error of each
   computed value of Z_N (``series._rounding_bound``).
 
-Starting from 8 points per edge (corners included), every segment of length
-h with L h > kappa max(|z_i|, |z_{i+1}|), kappa = 1/2, is split into
-ceil(L h / (kappa max)) pieces (at most 64), all new points of a round being
-evaluated in one batch.  Once no segment needs splitting, the image of each
-segment lies in a disc about its larger endpoint value that excludes 0, so
-the winding number sum Arg(z_{i+1}/z_i) / 2pi is exact, and
-lower = min_i (|z_i| + |z_{i+1}| - L h_i) / 2 bounds |Z_N| from below along
-the whole contour.  The count transfers to the full series when the
-truncation tail stays well below that bound (Rouche): a report is
-"certified" only when lower exceeds 10x (tail + rnd), every term of which is
-a bound.  A contour that needs more than 2^16 evaluations or a step below
-1e-12 is reported "contour-too-close".
+Along a segment of length h, Z_N differs from the chord between its endpoint
+values by at most M2 h^2 / 8 (the Peano kernel of linear interpolation), so
+the image of the segment lies in the tube of that radius about the chord.
+Let d_i be the distance from 0 to the chord [z_i, z_{i+1}].  Starting from 8
+points per edge (corners included), every segment with M2 h^2 / 8 > kappa d_i,
+kappa = 1/2, is split into ceil(h sqrt(M2 / (8 kappa d_i))) pieces (at most
+64), all new points of a round being evaluated in one batch.  Once no segment
+needs splitting, each segment's image lies in a convex tube that excludes 0,
+so its argument changes by exactly Arg(z_{i+1}/z_i), and the winding number
+sum Arg(z_{i+1}/z_i) / 2pi is exact.  Along the whole contour |Z_N| is at
+least lower = min_i (d_i - M2 h_i^2 / 8 - 32 2^-53 max(|z_i|, |z_{i+1}|)),
+the last term bounding the float error of each computed d_i.  The count
+transfers to the full series when the truncation tail stays well below that
+bound (Rouche): a report is "certified" only when lower exceeds
+10x (tail + rnd), every term of which is a bound.  Each computed z_i lies
+within rnd of the true value, so widening every tube by rnd carries both
+conclusions over to Z_N itself.  A contour that needs more than 2^16
+evaluations or a step below 1e-12 is reported "contour-too-close".
 
 Report fields: ``winding_sum`` is the tracked sum, ``rounding_bound`` is
 rnd, ``tail_bound`` the truncation tail alone and
@@ -57,6 +64,9 @@ _MAX_PIECES = 64
 _MAX_EVALS = 1 << 16
 _MIN_STEP = 1e-12
 _NUDGE_ATTEMPTS = 5    # left edges _certified_count tries per strip
+# float error of a computed chord distance: about ten roundings, each at most
+# 2^-53 times 2 max(|z_i|, |z_{i+1}|)
+_D_ROUND = 32 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -110,11 +120,22 @@ class ZeroScanReport:
         }
 
 
-def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, L: float):
+def _chord_distance(z: np.ndarray) -> np.ndarray:
+    """Distance from 0 to each chord [z_i, z_{i+1}] of the sampled values."""
+    a, e = z[:-1], np.diff(z)
+    e2 = e.real * e.real + e.imag * e.imag
+    # the chord point nearest 0 is a + t e, t the clipped projection
+    # (t = 0 for a chord of length 0)
+    t = np.divide(-(a.real * e.real + a.imag * e.imag), e2, out=np.zeros_like(e2), where=e2 > 0)
+    return np.abs(a + np.clip(t, 0.0, 1.0) * e)
+
+
+def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, M2: float):
     """Samples s and values z = Z_N(s) around the closed contour
-    (counterclockwise, s[-1] == s[0]), refined until L h <= kappa max|z| on
-    every segment.  Returns (s, z, resolved); resolved is False when the
-    evaluation budget or the step floor stopped the refinement first."""
+    (counterclockwise, s[-1] == s[0]), refined until M2 h^2 / 8 <= kappa d on
+    every segment, d the distance from 0 to its chord.  Returns
+    (s, z, resolved); resolved is False when the evaluation budget or the step
+    floor stopped the refinement first."""
     corners = np.array([
         complex(rect.sigma_min, rect.t_min), complex(rect.sigma_max, rect.t_min),
         complex(rect.sigma_max, rect.t_max), complex(rect.sigma_min, rect.t_max),
@@ -126,14 +147,16 @@ def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, L: float):
     evals = s.size - 1
     while True:
         h = np.abs(np.diff(s))
-        m = np.maximum(np.abs(z[:-1]), np.abs(z[1:]))
-        need = np.flatnonzero(L * h > _KAPPA * m)
+        d = _chord_distance(z)
+        need = np.flatnonzero(M2 * h * h > 8.0 * _KAPPA * d)
         if need.size == 0:
             return s, z, True
         if h[need].min() < _MIN_STEP:
             return s, z, False
+        # pieces of length h/k meet the rule once k >= h sqrt(M2 / (8 kappa d))
         with np.errstate(divide="ignore"):
-            pieces = np.minimum(np.ceil(L * h[need] / (_KAPPA * m[need])), _MAX_PIECES).astype(np.int64)
+            pieces = np.ceil(h[need] * np.sqrt(M2 / (8.0 * _KAPPA * d[need])))
+        pieces = np.clip(pieces, 2, _MAX_PIECES).astype(np.int64)
         k = pieces - 1  # new points per split segment
         evals += int(k.sum())
         if evals > _MAX_EVALS:
@@ -146,18 +169,29 @@ def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, L: float):
         z = np.insert(z, seg + 1, z_new)
 
 
+def _lower_bound(s: np.ndarray, z: np.ndarray, M2: float) -> float:
+    """min_i (d_i - M2 h_i^2 / 8), less the float error of each d_i: the
+    bound below |Z_N| along the contour that the module docstring derives."""
+    mod = np.abs(z)
+    h = np.abs(np.diff(s))
+    slack = _D_ROUND * np.maximum(mod[:-1], mod[1:])
+    return float((_chord_distance(z) - M2 * h * h / 8.0 - slack).min())
+
+
 def _scan_once(a: ArithmeticFunction, rect: Rectangle, N: int) -> ZeroScanReport:
     tail = _tail_for(a, rect.sigma_min, N, 0)
     logn = a.log_n()[:N]
     w = _weights(np.abs(a.float_coeffs()[:N]), logn, rect.sigma_min)
-    L = float(w @ logn)
+    M2 = float((w * logn) @ logn)
+    # the float error of M2 has the kernel's form: exp of sigma log n,
+    # per-term products and an N-term sum
+    M2 += _rounding_bound(N, rect.sigma_min, 0.0, M2)
     t_abs = max(abs(rect.t_min), abs(rect.t_max))
     rnd = _rounding_bound(N, rect.sigma_max, t_abs, float(w.sum()))
 
-    s, z, resolved = _track_contour(a, rect, N, L)
-    mod = np.abs(z)
-    minmod = float(mod.min())
-    lower = float((mod[:-1] + mod[1:] - L * np.abs(np.diff(s))).min()) / 2.0
+    s, z, resolved = _track_contour(a, rect, N, M2)
+    minmod = float(np.abs(z).min())
+    lower = _lower_bound(s, z, M2)
     winding = float(np.angle(z[1:] * np.conj(z[:-1])).sum()) / (2.0 * math.pi)
     if minmod <= _MARGIN * tail:
         status = STATUS_TAIL_DOMINATED

@@ -342,7 +342,7 @@ STDOUT_DIGESTS = {
     "acoeffs": "94f87e67f2fcec5f",
     "eval": "f2aff97a81a78d26",
     "cf": "ea24743e4c81e377",
-    "zeros": "9ba1bafa1934a2f6",
+    "zeros": "eac1ebe47a2f7d48",
     "sigma0": "e0b2d783a0b63f8e",
     "dist": "ac9dad6fb2fd57ee",
     "moments": "1776152291207f05",

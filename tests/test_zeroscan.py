@@ -3,7 +3,9 @@ windows, additivity under splits, and abscissa bracketing."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zetadist import (
     DomainError,
@@ -118,9 +120,12 @@ class TestArgumentTracking:
     def test_exhausted_budget_is_not_certified(self, engineered, monkeypatch):
         from zetadist import zeroscan
 
-        # the 28 starting points fill the budget; this contour needs a few more
+        # the 28 starting points fill the budget; this contour, whose left
+        # edge passes 0.002 from the zero, needs a few more
+        rect = Rectangle(1.998, 2.3, 4.0, 5.0)
+        assert count_zeros(engineered, rect).certified
         monkeypatch.setattr(zeroscan, "_MAX_EVALS", 28)
-        assert count_zeros(engineered, Rectangle(1.7, 2.3, 4.0, 5.0)).status == "contour-too-close"
+        assert count_zeros(engineered, rect).status == "contour-too-close"
 
     @pytest.mark.parametrize("T", [6.8, 9.05, 9.1, 13.4, 14.9, 17.35, 28.7, 28.75, 28.8])
     def test_sigma0_bracket_holds_where_quadrature_missed(self, engineered, T):
@@ -128,6 +133,96 @@ class TestArgumentTracking:
         # bracket missing the zero line sigma = 2
         lo, hi = estimate_sigma0(engineered, T=T, sigma_hi=4.0, tol=1e-3).bracket
         assert lo <= 2.0 <= hi and hi - lo <= 1e-3
+
+
+class TestCurvatureCertificate:
+    @pytest.mark.parametrize("name, N, rect", [
+        ("ones", 4096, Rectangle(1.42, 1.9, 13.5, 14.8)),
+        ("ezstar", 4096, Rectangle(1.46, 2.0, 12.0, 16.0)),
+        ("absmu", 4096, Rectangle(1.3, 2.0, 10.0, 16.0)),
+        ("oneplusq:2:4", 16, Rectangle(1.998, 2.3, 4.0, 5.0)),
+        ("oneplusq:2:4", 16, Rectangle(1.7, 2.3, -5.0, 5.0)),
+    ])
+    def test_lower_is_below_z_between_samples(self, name, N, rect, monkeypatch):
+        # |Z_N| at 20 points inside every final segment never falls below the
+        # certificate's lower bound, less the rounding of those values
+        from zetadist import zeroscan
+        from zetadist.series import evaluate_series_batch
+
+        a, seen = gen(name, N), []
+        track = zeroscan._track_contour
+
+        def capture(*args):
+            out = track(*args)
+            seen.append((args[3], out))
+            return out
+
+        monkeypatch.setattr(zeroscan, "_track_contour", capture)
+        rep = count_zeros(a, rect, N=N)
+        (M2, (s, z, resolved)), = seen
+        assert resolved
+        lower = zeroscan._lower_bound(s, z, M2)
+        assert lower > 0
+        frac = np.arange(1, 21) / 21
+        inner = (s[:-1, None] + np.diff(s)[:, None] * frac).ravel()
+        assert np.abs(evaluate_series_batch(a, inner, 0, N)[0]).min() >= lower - rep.rounding_bound
+
+
+# 1 + c q^{-s} = 0  iff  s = (log c + i (2j+1) pi) / log q; every pair has
+# its zero line log c / log q right of 1
+ONE_PLUS_Q = [(2, 4), (2, 3), (3, 10), (2, 9), (5, 30), (4, 9)]
+
+
+def _zeros_near(q, c, rect, pad):
+    """The zeros of 1 + c q^{-s} with rect.t_min - pad <= t <= rect.t_max + pad."""
+    sigma, step = math.log(c) / math.log(q), 2.0 * math.pi / math.log(q)
+    j0 = math.floor((rect.t_min - pad) / step - 0.5)
+    j1 = math.ceil((rect.t_max + pad) / step - 0.5)
+    return [(sigma, (j + 0.5) * step) for j in range(j0, j1 + 1)
+            if rect.t_min - pad <= (j + 0.5) * step <= rect.t_max + pad]
+
+
+def _inside(rect, zero):
+    return rect.sigma_min < zero[0] < rect.sigma_max and rect.t_min < zero[1] < rect.t_max
+
+
+def _distance_to_contour(rect, zero):
+    x, y = zero
+    if _inside(rect, zero):
+        return min(x - rect.sigma_min, rect.sigma_max - x, y - rect.t_min, rect.t_max - y)
+    return math.hypot(max(rect.sigma_min - x, 0.0, x - rect.sigma_max),
+                      max(rect.t_min - y, 0.0, y - rect.t_max))
+
+
+class TestExactZeroOracle:
+    # at full support oneplusq has no truncation tail, so a certified winding
+    # is a claim about the closed form's exact zeros
+
+    @settings(max_examples=60, deadline=None)
+    @given(qc=st.sampled_from(ONE_PLUS_Q), sigma_min=st.floats(1.05, 3.5), width=st.floats(0.05, 1.5),
+           t_min=st.floats(-30.0, 30.0), height=st.floats(0.05, 20.0))
+    def test_certified_count_away_from_zeros(self, qc, sigma_min, width, t_min, height):
+        q, c = qc
+        rect = Rectangle(sigma_min, sigma_min + width, t_min, t_min + height)
+        zeros = _zeros_near(q, c, rect, pad=1.0)
+        assume(all(_distance_to_contour(rect, zero) >= 0.05 for zero in zeros))
+        rep = count_zeros(gen(f"oneplusq:{q}:{c}", q), rect)
+        assert rep.tail_bound == 0.0
+        assert rep.certified, (rect, rep.status)
+        assert rep.winding == sum(_inside(rect, zero) for zero in zeros), rect
+
+    @settings(max_examples=60, deadline=None)
+    @given(qc=st.sampled_from(ONE_PLUS_Q), j=st.integers(-3, 2), edge=st.integers(0, 3),
+           exponent=st.floats(2.0, 13.0), outside=st.booleans(),
+           sides=st.tuples(*[st.floats(0.05, 0.5)] * 4))
+    def test_edge_near_zero_never_certified_wrong(self, qc, j, edge, exponent, outside, sides):
+        q, c = qc
+        sigma, t = math.log(c) / math.log(q), (2 * j + 1) * math.pi / math.log(q)
+        offsets = list(sides)
+        offsets[edge] = -(10.0 ** -exponent) if outside else 10.0 ** -exponent
+        rect = Rectangle(sigma - offsets[0], sigma + offsets[1], t - offsets[2], t + offsets[3])
+        rep = count_zeros(gen(f"oneplusq:{q}:{c}", q), rect)
+        assert not rep.certified or rep.winding == (0 if outside else 1), (rect, rep.winding)
 
 
 class TestZeroFreeWindows:
