@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -48,23 +47,8 @@ def _float_or_nan(x: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Prime factorization (trial division; desk scale n <= 10^6 or so)
+# Primes and factorization (trial division; desk scale n <= 10^6 or so)
 # ---------------------------------------------------------------------------
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
 
 def factorize(n: int, spf: Optional[np.ndarray] = None) -> dict[int, int]:
     """Prime factorization of n >= 1 as {p: exponent}, smallest p first: by
@@ -121,17 +105,20 @@ def _prime_factor_counts(spf: np.ndarray) -> np.ndarray:
     return omega
 
 
+def _prime_flags(limit: int) -> np.ndarray:
+    """flags[n] is True iff n is prime, for 0 <= n <= limit: the package's
+    one prime sieve."""
+    limit = max(limit, 1)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
 def primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= limit:
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-        p += 1
-    return list(compress(range(limit + 1), sieve))
+    return np.flatnonzero(_prime_flags(limit)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,7 @@ class LogLinear:
             else:
                 acc[p] = cur
         for p in acc:
-            if not is_prime(p):
+            if not (p > 1 and factorize(p) == {p: 1}):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
 
@@ -441,9 +428,11 @@ class ArithmeticFunction:
     def first_negative_index(self) -> Optional[int]:
         """Least n with a(n) < 0, or None: the package's one sign test
         (exact, read off the table's values)."""
-        negative = (self._signs() < 0)[self._index]
-        n = int(negative.argmax())
-        return n + 1 if negative[n] else None
+        negative = self._signs() < 0
+        if not negative.any():
+            return None
+        negative = negative[self._index]
+        return int(negative.argmax()) + 1
 
     def nonzero_indices(self) -> list[int]:
         """The n with a(n) != 0, ascending."""
@@ -459,25 +448,31 @@ class ArithmeticFunction:
     # -- float views (cached; shared by the numerical modules) --------------
 
     def float_coeffs(self):
-        """float(a(n)) for n = 1..N as a read-only float64 array.
+        """float(a(n)) for n = 1..N as a read-only float64 array (``_floats_at``)."""
+        cached = self._float_cache
+        if cached is None:
+            cached = self._floats_at(None, "a")
+            object.__setattr__(self, "_float_cache", cached)
+        return cached
+
+    def _floats_at(self, ns: Optional[np.ndarray], symbol: str) -> np.ndarray:
+        """float(f(n)) for the n in ``ns`` (every n if None), read-only.
 
         Each table value is converted once, by the correctly rounded division
         of its numerator by its denominator that ``float`` performs (so a
         tiny negative gives -0.0), and gathered through the index.  A value
-        beyond the float range raises OverflowError naming the first n that
-        uses it; a table value that no a(n) uses is never an error.
+        beyond the float range raises OverflowError naming ``symbol`` at the
+        first n that uses it; a value no gathered n uses is never an error.
         """
-        cached = self._float_cache
-        if cached is None:
-            # no Fraction is NaN, so NaN marks a value beyond the float range
-            cached = np.fromiter(map(_float_or_nan, self._values), dtype=np.float64, count=len(self._values))
-            cached = cached[self._index]
-            beyond = np.isnan(cached)
-            if beyond.any():
-                raise OverflowError(f"a({int(beyond.argmax()) + 1}) lies beyond the float range")
-            cached.flags.writeable = False
-            object.__setattr__(self, "_float_cache", cached)
-        return cached
+        # no Fraction is NaN, so NaN marks a value beyond the float range
+        floats = np.fromiter(map(_float_or_nan, self._values), dtype=np.float64, count=len(self._values))
+        out = floats[self._index if ns is None else self._index[ns - 1]]
+        beyond = np.isnan(out)
+        if beyond.any():
+            k = int(beyond.argmax())
+            raise OverflowError(f"{symbol}({k + 1 if ns is None else int(ns[k])}) lies beyond the float range")
+        out.flags.writeable = False
+        return out
 
     def log_n(self):
         cached = self._logn_cache
@@ -629,41 +624,47 @@ def log_twist(a: ArithmeticFunction) -> list[LogLinear]:
 class MangoldtSequence:
     """The exact sequence A(n) = ((a log) * a^{-1})(n) for 2 <= n <= N.
 
-    These are the generalized von Mangoldt values.  The table stores
-    l(n) = A(n)/log n, the Dirichlet coefficients of log(Z/a(1)), which are
-    rational when a is; absent indices are exactly zero.  ``A(n)`` itself,
+    These are the generalized von Mangoldt values.  l(n) = A(n)/log n, the
+    Dirichlet coefficients of log(Z/a(1)), rational when a is, live in an
+    ``ArithmeticFunction`` (table (0, l(n), ...), index[n-1] at n's entry),
+    whose sign test, nonzero scan and float view serve A.  ``A(n)`` itself,
     l(n) log n expanded over the primes of n as a ``LogLinear``, is built on
     access.  ``route`` names the algorithm that built the table:
     ``"prime-powers"`` or ``"dense"``.
     """
 
-    __slots__ = ("_ratios", "N", "route", "_array_cache")
+    __slots__ = ("_l", "N", "route", "_array_cache")
 
     def __init__(self, nonzero: Mapping[int, LogLinear], N: int, route: str = "dense"):
         _check_length(N)
         if route not in ("prime-powers", "dense"):
             raise ValueError(f"unknown route {route!r}")
-        ratios = {}
+        ratios = []
         for n, v in nonzero.items():
             if v.is_zero():
                 continue
             if not 2 <= n <= N:
                 raise ValueError(f"index {n} outside 2..{N}")
             p, e = next(iter(factorize(n).items()))
-            ratios[n] = v.terms.get(p, _ZERO) / e
-            if v != LogLinear.log_of(n, ratios[n]):
+            ratio = v.terms.get(p, _ZERO) / e
+            if v != LogLinear.log_of(n, ratio):
                 raise ValueError(f"A({n}) = {v!r} is not a rational multiple of log {n}")
-        self._fill(ratios.items(), N, route)
+            ratios.append((n, ratio))
+        self._fill(ratios, N, route)
 
     @classmethod
-    def _built(cls, ratios: Iterable[tuple[int, Fraction]], N: int, route: str) -> "MangoldtSequence":
-        """A table of l(n) that ``von_mangoldt`` built: no zero value, every index in 2..N."""
+    def _built(cls, ratios: Sequence[tuple[int, Fraction]], N: int, route: str) -> "MangoldtSequence":
+        """The (n, l(n)) pairs that ``von_mangoldt`` built: no zero value,
+        every n in 2..N once, in any order."""
         obj = object.__new__(cls)
         obj._fill(ratios, N, route)
         return obj
 
     def _fill(self, ratios, N, route) -> None:
-        object.__setattr__(self, "_ratios", dict(sorted(ratios)))
+        ns, values = zip(*ratios) if ratios else ((), ())
+        index = np.zeros(N, dtype=np.min_scalar_type(len(ns)))
+        index[np.array(ns, dtype=np.intp) - 1] = np.arange(1, len(ns) + 1)
+        object.__setattr__(self, "_l", ArithmeticFunction._built((_ZERO, *values), index, None, "l"))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "_array_cache", None)
@@ -674,46 +675,40 @@ class MangoldtSequence:
     def __getitem__(self, n: int) -> LogLinear:
         if not 2 <= n <= self.N:
             raise IndexError(f"n={n} outside stored range 2..{self.N}")
-        return LogLinear.log_of(n, self._ratios.get(n, _ZERO))
+        return LogLinear.log_of(n, self._l._values[self._l._index.item(n - 1)])
 
     def nonzeros(self) -> Iterator[tuple[int, LogLinear]]:
         """(n, A(n)) for each nonzero A(n), n ascending, each A(n) built from
         l(n) and the factorization of n read off one sieve."""
-        spf = smallest_factor_sieve(next(reversed(self._ratios), 1))
-        for n, ratio in self._ratios.items():
-            yield n, LogLinear.log_of(n, ratio, spf)
+        values, index, ns = self._l._values, self._l._index, self._l.nonzero_indices()
+        spf = smallest_factor_sieve(ns[-1] if ns else 1)
+        for n in ns:
+            yield n, LogLinear.log_of(n, values[index.item(n - 1)], spf)
 
     def nonzero_count(self) -> int:
-        return len(self._ratios)
+        # one table entry per nonzero n, after the leading zero entry
+        return len(self._l._values) - 1
 
     def float_arrays(self):
-        """(n, log n, A(n)/log n) over the nonzero A(n) as numpy arrays, the
-        last two in double precision: the Dirichlet coefficients of log Z and
-        the logarithms the series kernel needs beside them.  A(n)/log n is
-        ``A(n).evaluate() / log n``: the float of each coefficient l(n) e of
-        log p times log p, summed exactly and rounded once, over log n."""
+        """(n, log n, l(n)) over the nonzero A(n) as numpy arrays, the last
+        two in double precision: the Dirichlet coefficients of log Z and the
+        logarithms the series kernel needs beside them.  l(n) is the store's
+        float(l(n)), the correctly rounded exact A(n)/log n, gathered at the
+        nonzero n only; OverflowError names an l(n) beyond the float range."""
         cached = self._array_cache
         if cached is None:
-            count = len(self._ratios)
-            ns = np.fromiter(self._ratios, dtype=np.int64, count=count)
-            spf = smallest_factor_sieve(next(reversed(self._ratios), 1))
-            coef = np.fromiter(
-                (math.fsum(ratio.numerator * e / ratio.denominator * math.log(p)
-                           for p, e in factorize(n, spf).items())
-                 for n, ratio in self._ratios.items()),
-                dtype=np.float64, count=count)
-            logn = np.log(ns.astype(np.float64))
-            coef /= logn
-            cached = (ns, logn, coef)
+            ns = np.array(self._l.nonzero_indices(), dtype=np.int64)
+            cached = (ns, np.log(ns.astype(np.float64)), self._l._floats_at(ns, "l"))
             object.__setattr__(self, "_array_cache", cached)
         return cached
 
     def first_negative(self) -> Optional[int]:
-        """Least n with A(n) < 0, or None: exact, as sign A(n) = sign l(n)."""
-        return next((n for n, ratio in self._ratios.items() if ratio < 0), None)
+        """Least n with A(n) < 0, or None: the store's sign test, as
+        sign A(n) = sign l(n)."""
+        return self._l.first_negative_index()
 
     def __repr__(self) -> str:
-        return f"MangoldtSequence(N={self.N}, nonzeros={len(self._ratios)}, route={self.route!r})"
+        return f"MangoldtSequence(N={self.N}, nonzeros={self.nonzero_count()}, route={self.route!r})"
 
 
 def von_mangoldt(a: ArithmeticFunction) -> MangoldtSequence:
@@ -754,13 +749,9 @@ def _mangoldt_prime_powers(a: ArithmeticFunction) -> MangoldtSequence:
     N = len(a)
     a1 = a(1)
     root = math.isqrt(N)
-    small = primes_up_to(root)
-    is_prime = np.ones(N + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in small:
-        is_prime[p * p :: p] = False
-    nonzero = a._signs()[a._index] != 0  # nonzero[n-1]: a(n) != 0
-    primes = small + (np.flatnonzero(is_prime[root + 1:] & nonzero[root:]) + root + 1).tolist()
+    flags = _prime_flags(N)
+    flags[root + 1:] &= a._signs()[a._index[root:]] != 0  # above sqrt(N), only p with a(p) != 0
+    primes = np.flatnonzero(flags).tolist()
     powers: list[int] = []  # p, p^2, ... <= N for each prime in turn, from its start
     starts = []
     for p in primes:

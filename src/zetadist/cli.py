@@ -154,7 +154,11 @@ def cmd_acoeffs(args) -> Output:
     lines = ["n,A_exact,A_float"]
     for n in range(2, lam.N + 1):
         v = nonzero.get(n, zero)
-        lines.append(f"{n},{_loglinear_str(v)},{_fmt(v.evaluate())}")
+        try:
+            value = v.evaluate()
+        except OverflowError:
+            raise OverflowError(f"A({n}) lies beyond the float range") from None
+        lines.append(f"{n},{_loglinear_str(v)},{_fmt(value)}")
     return Output("acoeffs.csv", lines, RunManifest(source, N=lam.N))
 
 

@@ -510,6 +510,23 @@ def test_coefficient_beyond_float_range_is_one_error_line(tmp_path, argv, capsys
     assert err["error"] == "OverflowError" and "a(2)" in err["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["levy", "--sigma", "2"], "l(4)"),
+    (["moments", "--sigma", "2", "--method", "analytic"], "l(4)"),
+    (["acoeffs"], "A(4)"),
+], ids=["levy", "moments", "acoeffs"])
+def test_log_coefficient_beyond_float_range_is_named(tmp_path, argv, name, capsys):
+    # a(1) = 10^-300 and a(2) = 1 give l(2) = 10^300, a float, and
+    # l(4) = -l(2)^2/2 = -5 10^599, beyond the float range
+    path = tmp_path / "tiny_a1.json"
+    path.write_text(ArithmeticFunction([Fraction(1, 10**300), 1] + [0] * 6, growth=GrowthBound(1e300, 0.0)).to_json())
+    rc = cli.main([argv[0], "--gen", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "OverflowError" and err["message"] == f"{name} lies beyond the float range"
+
+
 def test_manifest_records_only_tolerances_used(tmp_path, capsys):
     def tolerances(argv, filename):
         assert run_in_process(["--out", str(tmp_path), *argv], capsys)[0] == 0

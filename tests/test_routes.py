@@ -39,6 +39,18 @@ def assert_same_table(lam: MangoldtSequence, want: dict, N: int) -> None:
         assert lam[n] == want.get(n, 0), f"n={n}"
 
 
+def assert_store_scans(lam: MangoldtSequence) -> None:
+    """The count, sign test and float view read off the one store agree
+    with a plain scan of ``nonzeros()``, for lam and for the public
+    constructor's copy of it."""
+    items = list(lam.nonzeros())
+    for seq in (lam, MangoldtSequence(dict(reversed(items)), lam.N, route=lam.route)):
+        assert seq.nonzero_count() == len(items)
+        assert seq.first_negative() == next((n for n, v in items if v.sign() < 0), None)
+        ns, _, coef = seq.float_arrays()
+        assert ns.tolist() == [n for n, _ in items] and len(coef) == len(items)
+
+
 @pytest.mark.parametrize("name", MARKED)
 def test_marked_family_equals_dense_and_oracle(name):
     fn = gen(name, 300)
@@ -90,8 +102,8 @@ def test_route_is_read_only():
 @pytest.mark.parametrize("name", ("ones", "absmu", "oneplusq:6", "ezstar"))
 def test_built_tables_are_ordered_and_equal_the_public_constructor(name):
     # both routes hand their tables to MangoldtSequence without its checks;
-    # the public constructor, which filters, range-checks and sorts, must
-    # give the same ordered table
+    # the public constructor, which filters and range-checks, must give the
+    # same ordered table
     fn = gen(name, 1000)
     lam = von_mangoldt(fn)
     items = list(lam.nonzeros())
@@ -100,6 +112,13 @@ def test_built_tables_are_ordered_and_equal_the_public_constructor(name):
     shuffled = dict(reversed(items))
     assert list(MangoldtSequence(shuffled, 1000, route=lam.route).nonzeros()) == items
     assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), 1000)
+
+
+@pytest.mark.parametrize("N", (1, 2, 64))
+def test_empty_store(N):
+    lam = MangoldtSequence({}, N)
+    assert lam.nonzero_count() == 0 and lam.first_negative() is None and list(lam.nonzeros()) == []
+    assert [x.size for x in lam.float_arrays()] == [0, 0, 0]
 
 
 def test_public_constructor_checks_its_input():
@@ -154,6 +173,7 @@ def test_random_multiplicative_equals_dense_and_oracle(fn):
     N = len(fn)
     assert_same_table(lam, dict(dense_of(fn).nonzeros()), N)
     assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), N)
+    assert_store_scans(lam)
 
 
 def test_sparse_inverse_matches_oracle():
@@ -210,6 +230,7 @@ def test_random_unmarked_equals_both_oracles(fn):
     N = len(fn)
     assert_same_table(lam, oracle_mangoldt(list(fn.coeffs)), N)
     assert_same_table(lam, oracle_mangoldt_by_inverse(list(fn.coeffs)), N)
+    assert_store_scans(lam)
 
 
 def test_dense_route_builds_neither_inverse_nor_twist(monkeypatch):

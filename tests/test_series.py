@@ -21,7 +21,7 @@ from zetadist import (
     tail_bound,
     von_mangoldt,
 )
-from zetadist.arith import ArithmeticFunction, MangoldtSequence, LogLinear, primes_up_to
+from zetadist.arith import ArithmeticFunction, MangoldtSequence, LogLinear, factorize, primes_up_to
 from zetadist.series import _partial_sum, _weights, derivative_growth, evaluate_series_batch, smallest_n
 
 from conftest import ZETA2, ZETA2_POINT, direct_zeta, gen
@@ -181,14 +181,20 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("name, route", [("ezstar", "dense"), ("dk:3", "prime-powers")])
     def test_float_arrays_bits(self, name, route):
-        # bit for bit the float of each exact A(n), rounded once, over log n
+        # bit for bit float(l(n)), the correctly rounded exact rational
+        # A(n)/log n, with l(n) read off A(n)'s coefficient of its least prime
         lam = von_mangoldt(gen(name, 4096))
         assert lam.route == route
         ns, ln, coef = lam.float_arrays()
-        exact = [v.evaluate() for _, v in lam.nonzeros()]
-        assert np.array_equal(coef, np.array(exact) / np.log(ns.astype(np.float64)))
+        exact = []
+        for n in ns.tolist():
+            p, e = next(iter(factorize(n).items()))
+            exact.append(float(lam[n].terms[p] / e))
+        assert coef.tobytes() == np.array(exact).tobytes()
+        # evaluate() is the fsum of each exact coefficient's float times log p
+        evaluated = [v.evaluate() for _, v in lam.nonzeros()]
         fsum = [math.fsum(float(c) * math.log(p) for p, c in lam[n].terms.items()) for n in ns.tolist()]
-        assert exact == fsum
+        assert evaluated == fsum
 
     def test_weights_are_the_law_terms(self):
         fn = gen("ezstar", 500)
