@@ -31,7 +31,7 @@ from .dist import RNG_ALGORITHM, _check_assumption, build_distribution, moments_
 from .errors import DomainError, ResourceLimitError, ZetadistError
 from .generators import generate, parse_spec
 from .levy import classify, quasi_levy_measure
-from .series import EvalPoint, _resolve_n, evaluate_cf, evaluate_series
+from .series import _cf_grid, _resolve_n, _series_grid
 from .zeroscan import Rectangle, count_zeros, estimate_sigma0
 
 FLOAT_FMT = "%.17g"
@@ -164,22 +164,21 @@ def cmd_acoeffs(args) -> Output:
 
 def cmd_eval(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
+    ts = _t_values(args.t)
+    values, tb, N_used = _series_grid(fn, args.sigma, ts, args.order, args.N, args.tol)
     lines = ["sigma,t,re,im,tail_bound,N"]
-    for t in _t_values(args.t):
-        r = evaluate_series(fn, EvalPoint(args.sigma, t), order=args.order, N=args.N, tol=args.tol)
-        lines.append(
-            f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(r.value.real)},{_fmt(r.value.imag)},{_fmt(r.tail_bound)},{r.N_used}"
-        )
+    for t, v in zip(ts, values):
+        lines.append(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(tb)},{N_used}")
     used = {"tol": args.tol} if args.N is None and args.tol is not None else {}
-    return Output("eval.csv", lines, RunManifest(source, N=r.N_used, tolerances=used))
+    return Output("eval.csv", lines, RunManifest(source, N=N_used, tolerances=used))
 
 
 def cmd_cf(args) -> Output:
     fn, source = _resolve_function(args.gen, args.max)
     N = _resolve_n(fn, args.sigma, args.N, None, 0)
+    ts = _t_values(args.t)
     lines = ["sigma,t,re,im"]
-    for t in _t_values(args.t):
-        v = evaluate_cf(fn, args.sigma, t, N=N)
+    for t, v in zip(ts, _cf_grid(fn, args.sigma, ts, N)):
         lines.append(f"{_fmt(args.sigma)},{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
     return Output("cf.csv", lines, RunManifest(source, N=N))
 

@@ -3,11 +3,13 @@ normalized characteristic function, and the logarithm series, with rigorous
 truncation-tail bounds derived from growth certificates.
 
 All floating point lives here (and downstream); values are complex doubles.
-Every sum of n^{-s} goes through ``_partial_sum``, which computes
-n^{-sigma} (cos(t log n) - i sin(t log n)) with the platform exp, log, cos
-and sin; ``_rounding_bound`` bounds its float error.  Every real per-term
-weight c(n) n^{-sigma} (the law's masses, the quasi-Levy masses, the zero
-scan's curvature bound) comes from ``_weights``.
+Every sum of n^{-s} goes through ``_partial_sum``, which splits
+n^{-s} = n^{-sigma} n^{-it}: one real row c(n) n^{-sigma} (-log n)^k per
+distinct sigma of a batch, one pair of rows cos(t log n), sin(t log n) per
+distinct t, and a matrix product of the two, with the platform exp, log,
+cos and sin; ``_rounding_bound`` bounds its float error.  Every real
+per-term weight c(n) n^{-sigma} (the kernel's rows, the law's masses, the
+quasi-Levy masses, the zero scan's curvature bound) comes from ``_weights``.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ from .errors import DomainError, OutOfDomainError, ResourceLimitError
 DEFAULT_N = 10**5
 DERIVATIVE_EPS_BUMP = 0.1
 _CHUNK = 1 << 20
+# points per block of the series kernel: a block's (sigma, t) grid has at
+# most _BLOCK^2 entries per order, so points that share no sigma and no t
+# cost about what a per-point sum costs
+_BLOCK = 32
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -162,10 +168,11 @@ def smallest_n(ok: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
     return lo
 
 
-def _weights(c: np.ndarray, logn: np.ndarray, sigma: float) -> np.ndarray:
-    """The per-term weights c(n) n^{-sigma} as a new array: the one place a
-    real n^{-sigma} is formed."""
-    w = np.exp(-sigma * logn)
+def _weights(c: np.ndarray, logn: np.ndarray, sigma) -> np.ndarray:
+    """The per-term weights c(n) n^{-sigma} as a new array, one row per sigma
+    when ``sigma`` is an array: the one place a real n^{-sigma} is formed."""
+    w = np.multiply.outer(-sigma, logn)
+    np.exp(w, out=w)
     w *= c
     return w
 
@@ -174,39 +181,61 @@ def _partial_sum(coeffs: np.ndarray, logn: np.ndarray, points, order: int) -> np
     """sum_n coeffs[n] (-logn[n])^k n^{-s} for k = 0..order at every point s,
     as an array of shape (order+1, len(points)); empty arrays sum to 0.
 
-    The only code that sums n^{-s}.  It works in real arithmetic,
-    n^{-s} = n^{-sigma} (cos(t log n) - i sin(t log n)), with two real
-    mat-vecs per order; each chunk holds at most _CHUNK points x terms.
+    The only code that sums n^{-s}.  It works in real arithmetic on
+    n^{-s} = n^{-sigma} (cos(t log n) - i sin(t log n)).  The points are
+    taken in (sigma, t) order, in blocks of at most _BLOCK.  Let a block have
+    U distinct real parts sigma_j and V distinct imaginary parts t_l.  Each
+    chunk of terms builds the weight rows W[k U + j] = c(n) n^{-sigma_j}
+    (-log n)^k, one exp per sigma_j (``_weights``), and the rotation rows
+    C[l] = cos(t_l log n) and S[l] = sin(t_l log n), one pair per t_l.  Two
+    matrix products, Re += W C^T and Im -= W S^T, cover every (sigma_j, t_l)
+    pair, and each point reads the entry of its own pair.  A chunk holds at
+    most _CHUNK floats across W, C and S.
     """
-    pts = np.asarray(points, dtype=np.complex128)
+    pts = np.asarray(points, dtype=np.complex128).ravel()
     out = np.zeros((order + 1, pts.size), dtype=np.complex128)
-    re, im = out.real, out.imag
-    step = max(1, _CHUNK // max(1, pts.size))
-    for start in range(0, logn.size, step):
-        ln = logn[start:start + step]
-        w = coeffs[start:start + step]
-        mag = np.multiply.outer(-pts.real, ln)
-        np.exp(mag, out=mag)
-        phase = np.multiply.outer(pts.imag, ln)
-        cos = np.cos(phase)
-        cos *= mag
-        sin = np.sin(phase, out=phase)
-        sin *= mag
-        for k in range(order + 1):
-            wk = w * (-ln) ** k if k else w
-            re[k] += cos @ wk
-            im[k] -= sin @ wk
-        # free this chunk's arrays before the next chunk allocates its own
-        del mag, phase, cos, sin
+    ks = np.arange(order + 1)[:, None]
+    by_sigma_t = np.lexsort((pts.imag, pts.real))
+    for b in range(0, pts.size, _BLOCK):
+        idx = by_sigma_t[b:b + _BLOCK]
+        sig, si = np.unique(pts.real[idx], return_inverse=True)
+        ts, ti = np.unique(pts.imag[idx], return_inverse=True)
+        rows = (order + 1) * sig.size
+        re = np.zeros((rows, ts.size))
+        im = np.zeros((rows, ts.size))
+        step = max(1, _CHUNK // (rows + 2 * ts.size))
+        for start in range(0, logn.size, step):
+            ln = logn[start:start + step]
+            c = coeffs[start:start + step]
+            w = _weights(c, ln, sig)
+            if order:
+                w = (w * (-ln) ** ks[:, None]).reshape(rows, ln.size)
+            phase = np.multiply.outer(ts, ln)
+            cos = np.cos(phase)
+            sin = np.sin(phase, out=phase)
+            re += w @ cos.T
+            im -= w @ sin.T
+            # free this chunk's arrays before the next chunk allocates its own
+            del w, phase, cos, sin
+        # the inverses are flattened: numpy 1.24 and 2.x shape them alike
+        pair = ks * sig.size + si.ravel(), ti.ravel()
+        out.real[:, idx] = re[pair]
+        out.imag[:, idx] = im[pair]
     return out
 
 
 def _rounding_bound(N: int, sigma_max: float, t_abs: float, abs_sum: float) -> float:
     """Bound on the float error of one ``_partial_sum`` value over N terms at
     Re s <= sigma_max and |Im s| <= t_abs, given abs_sum >= sum |c(n)| n^{-Re s}:
-    (N + 8 + 4 (sigma_max + t_abs) log N) 2^-53 abs_sum covers the exp, cos
-    and sin calls (their arguments carry the rounding of sigma log n and
-    t log n) and the mat-vec accumulation."""
+    (N + 8 + 4 (sigma_max + t_abs) log N) 2^-53 abs_sum.
+
+    Each term c(n) n^{-sigma} (-log n)^k cos(t log n) (and its sin twin) is
+    formed from the rounded arguments sigma log n and t log n, whose errors
+    of at most (sigma_max + t_abs) log N 2^-53 carry through exp, cos and
+    sin; those calls, the products that build the weight row and the one
+    product with the rotation row add a few roundings per term (the 8).  The
+    N-term accumulation, inside the matrix products and across chunks, is a
+    sum of N terms in some order, within N 2^-53 of sum |term|."""
     return (N + 8 + 4 * (sigma_max + t_abs) * math.log(N)) * _UNIT_ROUNDOFF * abs_sum
 
 
@@ -224,15 +253,24 @@ def evaluate_series(
     derivative orders, which absorb the log factor into the exponent); without
     one the value is returned with tail_bound=+inf and a warning.
     """
+    values, tb, N_used = _series_grid(a, s.sigma, [s.t], order, N, tol)
+    return EvalResult(value=complex(values[0]), tail_bound=tb, N_used=N_used)
+
+
+def _series_grid(a: ArithmeticFunction, sigma: float, ts, order: int, N: Optional[int], tol: Optional[float]):
+    """``evaluate_series`` at sigma + i t for every t of ``ts`` in one kernel
+    call: (values, tail bound, N used), the tail and N shared by every t."""
+    for t in ts:
+        EvalPoint(sigma, t)
     if order not in (0, 1, 2):
         raise DomainError(f"order={order} not in (0, 1, 2)")
-    _require_domain(a, s.sigma, order)
-    N_used = _resolve_n(a, s.sigma, N, tol, order)
-    value = complex(evaluate_series_batch(a, [s.s], order, N_used)[order, 0])
-    tb = _tail_for(a, s.sigma, N_used, order)
+    _require_domain(a, sigma, order)
+    N_used = _resolve_n(a, sigma, N, tol, order)
+    values = evaluate_series_batch(a, sigma + 1j * np.asarray(ts, dtype=np.float64), order, N_used)[order]
+    tb = _tail_for(a, sigma, N_used, order)
     if math.isinf(tb):
-        warnings.warn("no growth certificate: tail bound is +inf", stacklevel=2)
-    return EvalResult(value=value, tail_bound=tb, N_used=N_used)
+        warnings.warn("no growth certificate: tail bound is +inf", stacklevel=3)
+    return values, tb, N_used
 
 
 def evaluate_series_batch(a: ArithmeticFunction, points: np.ndarray, order: int, N: int):
@@ -258,19 +296,28 @@ def evaluate_cf(
     nonnegative; a negative coefficient triggers NotCharacteristicWarning but
     the quotient is still returned.
     """
-    EvalPoint(sigma, t)
+    return complex(_cf_grid(a, sigma, [t], N)[0])
+
+
+def _cf_grid(a: ArithmeticFunction, sigma: float, ts, N: Optional[int]) -> np.ndarray:
+    """``evaluate_cf`` at every t of ``ts``: Z(sigma + i t) for all t and
+    Z(sigma) in one kernel call."""
+    for t in ts:
+        EvalPoint(sigma, t)
     _require_domain(a, sigma, 0)
     if a.first_negative_index() is not None:
         warnings.warn(
             "negative coefficient present: quotient is not a characteristic function",
             NotCharacteristicWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     N_used = _resolve_n(a, sigma, N, None, 0)
-    num, den = map(complex, evaluate_series_batch(a, [complex(sigma, t), sigma], 0, N_used)[0])
+    points = np.append(sigma + 1j * np.asarray(ts, dtype=np.float64), sigma)
+    values = evaluate_series_batch(a, points, 0, N_used)[0]
+    den = complex(values[-1])
     if den == 0:
         raise DomainError("normalizer Z(sigma) vanished at this truncation")
-    return num / den
+    return values[:-1] / den
 
 
 def evaluate_log_series(

@@ -13,7 +13,9 @@ Along a segment of length h, Z_N differs from the chord between its endpoint
 values by at most M2 h^2 / 8 (the Peano kernel of linear interpolation), so
 the image of the segment lies in the tube of that radius about the chord.
 Let d_i be the distance from 0 to the chord [z_i, z_{i+1}].  Starting from 8
-points per edge (corners included), every segment with M2 h^2 / 8 > kappa d_i,
+points per edge (corners included), cut from one 8-value sigma grid and one
+8-value t grid so that opposite edges share their values and the 28 start
+points share the kernel's rows, every segment with M2 h^2 / 8 > kappa d_i,
 kappa = 1/2, is split into ceil(h sqrt(M2 / (8 kappa d_i))) pieces (at most
 64), all new points of a round being evaluated in one batch.  Once no segment
 needs splitting, each segment's image lies in a convex tube that excludes 0,
@@ -136,12 +138,14 @@ def _track_contour(a: ArithmeticFunction, rect: Rectangle, N: int, M2: float):
     every segment, d the distance from 0 to its chord.  Returns
     (s, z, resolved); resolved is False when the evaluation budget or the step
     floor stopped the refinement first."""
-    corners = np.array([
-        complex(rect.sigma_min, rect.t_min), complex(rect.sigma_max, rect.t_min),
-        complex(rect.sigma_max, rect.t_max), complex(rect.sigma_min, rect.t_max),
-    ])
-    frac = np.arange(_START_POINTS - 1) / (_START_POINTS - 1)
-    s = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * frac).ravel()
+    # bottom, right, top, left edges cut from one sigma grid and one t grid
+    # (corners exact), so opposite edges repeat the same floats
+    frac = np.arange(_START_POINTS) / (_START_POINTS - 1)
+    sg = rect.sigma_min + (rect.sigma_max - rect.sigma_min) * frac
+    tg = rect.t_min + (rect.t_max - rect.t_min) * frac
+    sg[-1], tg[-1] = rect.sigma_max, rect.t_max
+    s = np.concatenate([sg[:-1] + 1j * rect.t_min, rect.sigma_max + 1j * tg[:-1],
+                        sg[:0:-1] + 1j * rect.t_max, rect.sigma_min + 1j * tg[:0:-1]])
     z = evaluate_series_batch(a, s, 0, N)[0]
     s, z = np.append(s, s[0]), np.append(z, z[0])
     evals = s.size - 1

@@ -464,6 +464,16 @@ def test_bad_finite_support_is_a_malformed_file(tmp_path, limit, capsys):
     assert err["error"] == "DomainError" and "malformed function file" in err["message"]
 
 
+def test_t_grid_warns_once_without_certificate(tmp_path, capsys):
+    # one kernel call per --t grid, so one warning per command
+    path = tmp_path / "plain.json"
+    path.write_text(ArithmeticFunction([1, 1, 1, 1]).to_json())
+    with pytest.warns(UserWarning, match="no growth certificate") as caught:
+        rc, out = run_in_process(["eval", "--gen", str(path), "--sigma", "2", "--t=0:1:5"], capsys)
+    assert rc == 0 and len(out.splitlines()) == 6
+    assert len(caught) == 1
+
+
 def test_length_above_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("ZETADIST_MAX_N", "1000")
     assert run_in_process(["gen", "--gen", "ones", "--max", "1000"], capsys)[0] == 0

@@ -21,8 +21,16 @@ from zetadist import (
     tail_bound,
     von_mangoldt,
 )
+from zetadist import cli, series, zeroscan
 from zetadist.arith import ArithmeticFunction, MangoldtSequence, LogLinear, factorize, primes_up_to
-from zetadist.series import _partial_sum, _weights, derivative_growth, evaluate_series_batch, smallest_n
+from zetadist.series import (
+    _partial_sum,
+    _rounding_bound,
+    _weights,
+    derivative_growth,
+    evaluate_series_batch,
+    smallest_n,
+)
 
 from conftest import ZETA2, ZETA2_POINT, direct_zeta, gen
 
@@ -211,6 +219,90 @@ class TestEvaluate:
         lam = MangoldtSequence({}, 8)
         assert evaluate_log_series(lam, Fraction(3), EvalPoint(2.0, 1.0)).value == math.log(3.0)
         assert moments_analytic(lam, 2.0) == (0.0, 0.0)
+
+
+class TestSharedRows:
+    """The kernel's shared rows: points that repeat a sigma or a t, as the
+    contour batches and the CLI grids do, against the per-point oracle."""
+
+    @staticmethod
+    def _check(fn, pts, N):
+        coeffs = [float(c) for c in fn.coeffs[:N]]
+        want, bound = _oracle(coeffs, range(1, N + 1), pts, 2)
+        for order in (0, 1, 2):
+            got = _partial_sum(fn.float_coeffs()[:N], fn.log_n()[:N], pts, order)
+            assert got.shape == (order + 1, len(pts))
+            assert np.all(np.abs(got - want[: order + 1]) <= bound[: order + 1]), order
+        return got
+
+    def test_rectangle_start_points(self, monkeypatch):
+        # the 28 start points of a contour: one 8-value sigma grid and one
+        # 8-value t grid, corners exact
+        rect = Rectangle(1.42, 1.87, 12.93, 15.41)
+        batches = []
+        kernel = zeroscan.evaluate_series_batch
+        monkeypatch.setattr(zeroscan, "evaluate_series_batch", lambda *args: batches.append(args[1]) or kernel(*args))
+        fn = gen("ezstar", 600)
+        count_zeros(fn, rect, N=600)
+        start = batches[0]
+        assert start.size == 28
+        assert np.unique(start.real).size == np.unique(start.imag).size == 8
+        for corner in (1.42 + 12.93j, 1.87 + 12.93j, 1.87 + 15.41j, 1.42 + 15.41j):
+            assert corner in start
+        self._check(fn, start, 600)
+
+    def test_repeated_points(self):
+        fn = gen("ezstar", 800)
+        pts = np.array([2 + 3j, 2.5 - 1j, 2 + 3j, 2 + 3j, 2.5 - 1j, 2 - 3j, 2 + 3j])
+        got = self._check(fn, pts, 800)
+        # one grid entry serves every copy of a point
+        assert np.all(got[:, [0, 2, 3, 6]] == got[:, [0]])
+        assert np.all(got[:, 4] == got[:, 1])
+
+    def test_one_sigma_many_t(self):
+        # more points than a block, all on one vertical line
+        pts = 2.0 + 1j * np.linspace(-30.0, 30.0, 101)
+        self._check(gen("ezstar", 1500), pts, 1500)
+
+    def test_one_t_many_sigma(self):
+        pts = np.linspace(1.5, 4.0, 101) + 7.0j
+        self._check(gen("ezstar", 1500), pts, 1500)
+
+    def test_shared_grid_several_chunks(self, monkeypatch):
+        # a 4 x 8 grid of (sigma, t) and two loose points: with a small chunk
+        # every block sums in several chunks of terms
+        monkeypatch.setattr(series, "_CHUNK", 1 << 12)
+        sig, ts = np.linspace(1.6, 3.1, 4), np.linspace(-12.0, 9.0, 8)
+        pts = np.append((sig[:, None] + 1j * ts).ravel(), [2.2 + 0.5j, 1.7 - 20j])
+        N = 2000
+        assert (3 * 4 + 2 * 8) * N > series._CHUNK
+        self._check(gen("ezstar", N), pts, N)
+
+    def test_cli_grids_match_one_point_calls(self, capsys):
+        # eval and cf rows from one kernel call against one library call per
+        # t; each value lies within the rounding bound rnd of the exact sum
+        N, sigma, ts = 3000, 2.5, np.linspace(-10.0, 10.0, 101)
+        fn = gen("ezstar", N)
+        spec = ["--gen", "ezstar", "--max", str(N), "--sigma", repr(sigma), "--t=-10:10:101"]
+        weights = np.abs(fn.float_coeffs()) * np.exp(-sigma * fn.log_n())
+        for order in (0, 1, 2):
+            assert cli.main(["eval", *spec, "--order", str(order)]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert [float(r[1]) for r in rows] == ts.tolist()
+            rnd = _rounding_bound(N, sigma, 10.0, float(weights @ fn.log_n() ** order))
+            for r, t in zip(rows, ts):
+                one = evaluate_series(fn, EvalPoint(sigma, t), order=order)
+                assert abs(complex(float(r[2]), float(r[3])) - one.value) <= 2 * rnd
+                assert float(r[4]) == one.tail_bound and int(r[5]) == one.N_used == N
+        assert cli.main(["cf", *spec]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        rnd = _rounding_bound(N, sigma, 10.0, float(weights.sum()))
+        den = evaluate_series(fn, EvalPoint(sigma)).value.real
+        for r, t in zip(rows, ts):
+            one = evaluate_cf(fn, sigma, t)
+            # two quotients of values within rnd of the same sums
+            tol = 2 * (1 + abs(one)) * rnd / (den - rnd) + 4 * np.finfo(float).eps
+            assert abs(complex(float(r[2]), float(r[3])) - one) <= tol
 
 
 class TestTailBound:
